@@ -11,7 +11,7 @@ use sibling_core::{
     detect, BestMatchPolicy, DetectEngine, EngineConfig, PrefixDomainIndex, SimilarityMetric,
 };
 use sibling_dns::{LoadMode, SnapshotDelta, SnapshotFile, SnapshotStore};
-use sibling_executor::{scoped_map, ThreadPool};
+use sibling_executor::ThreadPool;
 use sibling_net_types::Ipv4Prefix;
 use sibling_ptrie::PatriciaTrie;
 use sibling_scan::{ScanConfig, Scanner};
@@ -128,7 +128,7 @@ fn bench_scan(c: &mut Criterion) {
 /// * `engine_batch` is `DetectEngine::run_window`: shared state is built
 ///   once, then the window is walked in one pass — snapshots and indexes
 ///   per month, the interner/RIB archive/set arena reused throughout,
-///   scoring sharded (and parallel with the `parallel` feature).
+///   scoring sharded onto the engine's pool.
 ///
 /// Also times the two scoring paths alone (`score/*`, identical indexes,
 /// identical outputs) to isolate the counting-join + sharding win from
@@ -201,16 +201,13 @@ fn bench_batch_window(c: &mut Criterion) {
     group.finish();
 }
 
-/// Churn-scaled incremental detection: the same multi-month window, once
-/// with per-month full rebuilds (index + all shards rescored every
-/// month, `incremental: false`) and once incrementally (snapshot deltas,
-/// in-place index patching, dirty-shard rescoring). Snapshots come from
-/// the persistent `target/snapshot-store/` cache (zone resolution runs
-/// only the first time per checkout; the engine consumes the mapped
-/// files zero-copy), so both variants measure engine work, not worldgen;
-/// the printed churn rate shows how little of each month the incremental
-/// path has to touch. Outputs are bit-identical (property-tested in
-/// `sibling-core`); only the cost model differs.
+/// Churn-scaled incremental detection over a multi-month window
+/// (snapshot deltas, in-place index patching, dirty-shard rescoring).
+/// Snapshots come from the persistent `target/snapshot-store/` cache
+/// (zone resolution runs only the first time per checkout; the engine
+/// consumes the mapped files zero-copy), so the bench measures engine
+/// work, not worldgen; the printed churn rate shows how little of each
+/// month the incremental path has to touch.
 fn bench_incremental_window(c: &mut Criterion) {
     let months = 24i32;
     let world = low_churn_world(2024);
@@ -252,18 +249,6 @@ fn bench_incremental_window(c: &mut Criterion) {
         |d: sibling_net_types::MonthDate| snaps[d.months_since(&from).max(0) as usize].clone();
 
     let mut group = c.benchmark_group("incremental_window");
-    group.bench_function("full_rebuild", |b| {
-        b.iter(|| {
-            let mut engine = DetectEngine::new(EngineConfig {
-                incremental: false,
-                ..EngineConfig::default()
-            });
-            let run = engine
-                .run_window(from, day0, &archive, snapshot_of)
-                .unwrap();
-            black_box(run.stats.total_pairs)
-        })
-    });
     group.bench_function("incremental", |b| {
         b.iter(|| {
             let mut engine = DetectEngine::default();
@@ -453,12 +438,10 @@ fn bench_store_world(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dispatch cost of the two executor designs on small jobs: the
-/// persistent pool (workers parked on a condvar, fed through a queue)
-/// versus the previous per-call `std::thread::scope` spawning. The work
-/// per item is tiny on purpose — the benchmark isolates what it costs to
-/// *start* a parallel map, which is what the engine pays once per month
-/// per window.
+/// Dispatch cost of the persistent pool (workers parked on a condvar,
+/// fed through a queue) on small jobs. The work per item is tiny on
+/// purpose — the benchmark isolates what it costs to *start* a parallel
+/// map, which is what the engine pays on every `detect` call.
 fn bench_pool_dispatch(c: &mut Criterion) {
     let items: Vec<u64> = (0..256).collect();
     let work = |_: usize, x: &u64| -> u64 {
@@ -473,9 +456,6 @@ fn bench_pool_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_dispatch");
     group.bench_function("persistent", |b| {
         b.iter(|| black_box(pool.map(&items, work)))
-    });
-    group.bench_function("scoped_spawn", |b| {
-        b.iter(|| black_box(scoped_map(threads, &items, work)))
     });
     group.finish();
 }

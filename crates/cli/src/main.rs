@@ -5,8 +5,8 @@
 //! sibling-prefixes tune     [--seed N] [--v4 L] [--v6 L]
 //! sibling-prefixes publish  [--seed N] [--out FILE]
 //! sibling-prefixes audit    [--seed N]
-//! sibling-prefixes batch    --from YYYY-MM --to YYYY-MM [--seed N] [--mode incremental|full]
-//!                           [--store DIR] [--load-mode mmap|read] [--window-threads N]
+//! sibling-prefixes batch    --from YYYY-MM --to YYYY-MM [--seed N] [--store DIR]
+//!                           [--load-mode mmap|read] [--window-threads N]
 //! sibling-prefixes snapshot export --store DIR [--from YYYY-MM] [--to YYYY-MM] [--seed N]
 //! sibling-prefixes world    export --store DIR [--from YYYY-MM] [--to YYYY-MM] [--seed N]
 //! sibling-prefixes serve    (--listen HOST:PORT | --socket PATH) [--readers N]
@@ -127,15 +127,19 @@ impl Args {
         }
     }
 
-    /// `--mode incremental|full` → is the engine incremental?
-    fn incremental(&self) -> Result<bool, String> {
-        match self.get("mode").unwrap_or("incremental") {
-            "incremental" => Ok(true),
-            "full" => Ok(false),
-            other => Err(format!(
-                "unknown --mode {other:?} (valid values: incremental, full)"
-            )),
-        }
+    /// The engine configuration of every window-scoring command:
+    /// `--window-threads N` sizes the window scheduler's pool (`0`, the
+    /// default, sizes to the machine).
+    fn engine_config(&self) -> Result<EngineConfig, String> {
+        let threads = self
+            .get("window-threads")
+            .unwrap_or("0")
+            .parse()
+            .map_err(|_| "bad --window-threads".to_string())?;
+        Ok(EngineConfig {
+            threads,
+            ..EngineConfig::default()
+        })
     }
 
     /// The shared `--from`/`--to` window, clamped to the world's range.
@@ -166,7 +170,7 @@ fn usage() -> &'static str {
      \x20 tune     run SP-Tuner at custom thresholds  [--seed N] [--v4 LEN] [--v6 LEN]\n\
      \x20 publish  write the sibling prefix list CSV  [--seed N] [--out FILE]\n\
      \x20 audit    RPKI/ROV audit of sibling pairs    [--seed N]\n\
-     \x20 batch    longitudinal window in one pass    --from YYYY-MM --to YYYY-MM [--seed N] [--mode incremental|full] [--store DIR] [--load-mode mmap|read] [--window-threads N]\n\
+     \x20 batch    longitudinal window in one pass    --from YYYY-MM --to YYYY-MM [--seed N] [--store DIR] [--load-mode mmap|read] [--window-threads N]\n\
      \x20 serve    resident query daemon              (--listen HOST:PORT | --socket PATH) [--readers N] [--max-conns N] [--deadline-ms MS] [--idle-ms MS] [--shed-at N] [--drain-ms MS] [--serve-ms MS] [--ingest JOURNAL] [--follow ENDPOINT] + batch's window flags\n\
      \x20 query    dial a running daemon              --connect ENDPOINT[,ENDPOINT...] [--retries N] \"REQUEST\" [\"REQUEST\" ...]\n\
      \x20 ingest   stream monthly deltas to a live daemon  --connect ENDPOINT --to YYYY-MM [--seed N]\n\
@@ -180,8 +184,8 @@ fn usage() -> &'static str {
      holds a world file (world export), routing and organization tables\n\
      are mapped from it too and worldgen is skipped entirely. batch\n\
      --window-threads sizes the cross-month scheduler's pool (default:\n\
-     machine). detection output is byte-identical across stores, modes\n\
-     and thread counts\n\
+     machine). detection output is byte-identical across stores and\n\
+     thread counts\n\
      \n\
      serve scores the window once (same flags and fast paths as batch),\n\
      keeps it resident behind a lock-free query index, prints\n\
@@ -528,29 +532,15 @@ fn run_window_input(
 /// sibling sets plus their month-over-month deltas (computed
 /// delta-natively by a carried [`PairLedger`]).
 ///
-/// Detection output (stdout) is identical between `--mode=incremental`
-/// (the default: snapshot deltas, dirty-shard rescoring) and
-/// `--mode=full` (per-month rebuilds), and across every
-/// `--window-threads` count (the cross-month scheduler's bit-identity
-/// contract) — CI diffs all of them. Churn, timing and engine
-/// accounting go to stderr so the comparison stays clean.
+/// Detection output (stdout) equals per-month `detect` and is
+/// identical across every `--window-threads` count (the cross-month
+/// scheduler's bit-identity contract) — `tests/batch_oracle.rs` and CI
+/// check both. Churn, timing and engine accounting go to stderr so the
+/// comparison stays clean.
 fn cmd_batch(args: &Args) -> Result<(), String> {
     let config = args.config()?;
     let (from, to) = args.window(&config)?;
-    let incremental = args.incremental()?;
-    // Pool size of the cross-month window scheduler; 0 (the default)
-    // sizes to the machine. Accepted but inert without the `parallel`
-    // feature — stdout is identical either way.
-    let window_threads: usize = args
-        .get("window-threads")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "bad --window-threads".to_string())?;
-    let mut engine = DetectEngine::new(EngineConfig {
-        incremental,
-        threads: window_threads,
-        ..EngineConfig::default()
-    });
+    let mut engine = DetectEngine::new(args.engine_config()?);
     let run = run_window_input(args, &mut engine, &config, from, to)?;
 
     println!("{}", MonthStats::batch_header());
@@ -589,16 +579,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     eprintln!("\nchurn     +dom  -dom  ~dom  (eff)   shards rescored");
     for churn in &run.churn {
         if churn.full_rebuild {
-            let shards = if churn.total_shards == 0 {
-                // The non-incremental per-date pipeline does not shard by
-                // window; its chunking is internal to each detect call.
-                "per-date pipeline".to_string()
-            } else {
-                format!("{} shards", churn.total_shards)
-            };
             eprintln!(
-                "{}  {:>5} {:>5} {:>5} {:>6}   full rebuild ({shards})",
-                churn.date, "-", "-", "-", "-"
+                "{}  {:>5} {:>5} {:>5} {:>6}   full rebuild ({} shards)",
+                churn.date, "-", "-", "-", "-", churn.total_shards
             );
         } else {
             eprintln!(
@@ -639,10 +622,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     }
     eprintln!(
         "window: {} thread(s); patch chain {} µs total, settle {} µs summed across overlapping months",
-        if window_threads == 0 {
-            "auto".to_string()
-        } else {
-            window_threads.to_string()
+        match engine.config().threads {
+            0 => "auto".to_string(),
+            threads => threads.to_string(),
         },
         patch_total / 1_000,
         settle_total / 1_000
@@ -719,16 +701,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let config = args.config()?;
     let (from, to) = args.window(&config)?;
-    let window_threads: usize = args
-        .get("window-threads")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "bad --window-threads".to_string())?;
-    let mut engine = DetectEngine::new(EngineConfig {
-        incremental: args.incremental()?,
-        threads: window_threads,
-        ..EngineConfig::default()
-    });
+    let mut engine = DetectEngine::new(args.engine_config()?);
     let score = Instant::now();
     let run = run_window_input(args, &mut engine, &config, from, to)?;
     let index = WindowQueryIndex::publish(&run).map_err(|e| e.to_string())?;
@@ -837,15 +810,7 @@ fn cmd_serve_live(
         };
         snaps.insert(date, snap);
     }
-    let engine_config = EngineConfig {
-        incremental: args.incremental()?,
-        threads: args
-            .get("window-threads")
-            .unwrap_or("0")
-            .parse()
-            .map_err(|_| "bad --window-threads".to_string())?,
-        ..EngineConfig::default()
-    };
+    let engine_config = args.engine_config()?;
     let score = Instant::now();
     let mut engine = DetectEngine::new(engine_config);
     let run = engine.run_window(from, to, &archive, |date| snaps[&date].clone())?;

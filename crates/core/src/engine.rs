@@ -30,12 +30,12 @@
 //!
 //! # The window scheduler
 //!
-//! With the `parallel` feature, **the whole window is the unit of
-//! parallelism**. Months form a dependency DAG: month *m*'s index patch
-//! depends on month *m−1*'s index (a cheap, churn-sized, strictly
-//! sequential chain the driver thread walks), but everything else —
-//! month-over-month snapshot diffs, dirty-shard rescoring, and per-month
-//! assembly — runs as fire-and-forget tasks on the persistent pool
+//! **The whole window is the unit of parallelism.** Months form a
+//! dependency DAG: month *m*'s index patch depends on month *m−1*'s
+//! index (a cheap, churn-sized, strictly sequential chain the driver
+//! thread walks), but everything else — month-over-month snapshot
+//! diffs, dirty-shard rescoring, and per-month assembly — runs as
+//! fire-and-forget tasks on the persistent pool
 //! ([`sibling_executor::ThreadPool`]), so independent dirty shards of
 //! *different* months score concurrently:
 //!
@@ -69,13 +69,13 @@
 //! released by the patch chain while an in-flight view still holds it is
 //! parked and reclaimed once that month's scoring drains.
 //!
-//! Output is **bit-identical** to the serial incremental path and to the
-//! full-rebuild reference across thread counts, shard counts and churn
-//! rates — property-tested below. The key argument: a shard's outcome is
-//! a pure function of the month-*m* view it captured, the dirty rule
-//! over-approximates (rescoring a clean shard reproduces its cached
-//! outcome), and assembly consumes outcomes in shard order regardless of
-//! completion order.
+//! Output is **bit-identical** to per-date [`crate::detect`] across
+//! thread counts, shard counts and churn rates — property-tested below.
+//! The key argument: a shard's outcome is a pure function of the
+//! month-*m* view it captured, the dirty rule over-approximates
+//! (rescoring a clean shard reproduces its cached outcome), and
+//! assembly consumes outcomes in shard order regardless of completion
+//! order.
 //!
 //! # Why clean shards may be reused
 //!
@@ -91,12 +91,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use sibling_bgp::{RibArchive, RibSource};
 use sibling_dns::{DnsSnapshot, DomainId, SnapshotDelta, SnapshotSource};
 use sibling_executor::sync::Slot;
+use sibling_executor::{Scope, ThreadPool};
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix, MonthDate};
 
 use crate::arena::{FxHasher, SetArena, SetHandle};
@@ -114,15 +115,10 @@ pub struct EngineConfig {
     /// Number of candidate shards; `0` sizes automatically (a small
     /// multiple of the worker count, so stealing can balance skew).
     pub shards: usize,
-    /// Worker threads for the `parallel` feature (the pool size the
-    /// window scheduler and `detect` dispatch onto); `0` sizes to the
-    /// machine. Ignored (serial execution) without the feature.
+    /// Logical threads of the engine's pool (the pool the window
+    /// scheduler and `detect` dispatch onto, the calling thread
+    /// included); `0` sizes to the machine, `1` runs every task inline.
     pub threads: usize,
-    /// Whether batch windows run incrementally (snapshot deltas, index
-    /// patching, dirty-shard rescoring). `false` rebuilds every month
-    /// from scratch — the reference the incremental path is
-    /// property-tested against. Defaults to `true`.
-    pub incremental: bool,
 }
 
 impl Default for EngineConfig {
@@ -132,7 +128,6 @@ impl Default for EngineConfig {
             policy: BestMatchPolicy::Union,
             shards: 0,
             threads: 0,
-            incremental: true,
         }
     }
 }
@@ -150,8 +145,8 @@ pub struct BatchStats {
     /// Dead set slots recycled by incremental index patching during this
     /// run (including deferred recycles swept after scoring drained).
     pub recycled_sets: u64,
-    /// Months that rebuilt the index from scratch (the first month, RIB
-    /// changes, or `incremental = false`).
+    /// Months that rebuilt the index from scratch (the first month and
+    /// RIB changes).
     pub full_rebuilds: usize,
     /// Total sibling pairs across all processed snapshots.
     pub total_pairs: usize,
@@ -174,8 +169,7 @@ pub struct MonthChurn {
     pub changed_effective: usize,
     /// Shards rescored this month.
     pub dirty_shards: usize,
-    /// Total shards of the window (`0` when the month ran through the
-    /// non-incremental per-date pipeline).
+    /// Total shards of the window.
     pub total_shards: usize,
     /// Whether the month rebuilt and rescored everything.
     pub full_rebuild: bool,
@@ -184,7 +178,7 @@ pub struct MonthChurn {
 impl MonthChurn {
     /// Fraction of shards rescored (1.0 for full rebuilds).
     pub fn rescored_share(&self) -> f64 {
-        if self.full_rebuild || self.total_shards == 0 {
+        if self.full_rebuild {
             1.0
         } else {
             self.dirty_shards as f64 / self.total_shards as f64
@@ -237,8 +231,7 @@ pub struct DetectEngine {
     /// Lazily-started persistent worker pool (sized by
     /// [`EngineConfig::threads`]), reused by every `detect`/window call
     /// of this engine and shut down gracefully when the engine drops.
-    #[cfg(feature = "parallel")]
-    pool: std::sync::OnceLock<Arc<sibling_executor::ThreadPool>>,
+    pool: OnceLock<ThreadPool>,
 }
 
 /// What one shard reports back: its pair run (already in `(v4, v6)`
@@ -591,26 +584,18 @@ where
 }
 
 /// Task dispatcher of the window scheduler: fire-and-forget closures
-/// that fill a [`Slot`]. With the `parallel` feature the closure runs as
-/// a detached scoped job on the persistent pool (panics poison the slot,
-/// re-raised at its first consumer); without it — or on a one-thread
-/// pool, where the executor runs detached jobs inline — execution is
-/// immediate and in submission order, which is exactly the serial walk.
-#[cfg(feature = "parallel")]
+/// that fill a [`Slot`], run as detached scoped jobs on the engine's
+/// pool (panics poison the slot, re-raised at its first consumer). On a
+/// one-thread pool the executor runs detached jobs inline, in
+/// submission order — exactly the serial walk.
 struct Dispatch<'s, 'env: 's> {
-    scope: &'s sibling_executor::Scope<'env>,
-}
-
-#[cfg(not(feature = "parallel"))]
-struct Dispatch<'s, 'env: 's> {
-    _marker: std::marker::PhantomData<(&'s (), &'env ())>,
+    scope: &'s Scope<'env>,
 }
 
 impl<'env> Dispatch<'_, 'env> {
     /// Fires a raw detached closure; `urgent` jumps the pool queue (see
-    /// [`sibling_executor::Scope::spawn_detached_urgent`] — the caller
-    /// must guarantee the job waits on nothing enqueued before it).
-    #[cfg(feature = "parallel")]
+    /// [`Scope::spawn_detached_urgent`] — the caller must guarantee the
+    /// job waits on nothing enqueued before it).
     fn exec<F>(&self, urgent: bool, f: F)
     where
         F: FnOnce() + Send + 'env,
@@ -620,15 +605,6 @@ impl<'env> Dispatch<'_, 'env> {
         } else {
             self.scope.spawn_detached(f);
         }
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn exec<F>(&self, urgent: bool, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        let _ = urgent;
-        f();
     }
 
     /// Fires a closure whose value lands in `slot` (poisoned on panic,
@@ -855,30 +831,6 @@ impl<'env> WindowCtx<'_, '_, 'env> {
         });
         slot
     }
-
-    /// A non-incremental month: one task builds a fresh index against
-    /// the shared (concurrent) arena and scores it whole — so in full
-    /// mode, entire months run in parallel.
-    fn spawn_full_month<H, R>(&self, snapshot: H, rib: R) -> Arc<Slot<MonthOutput>>
-    where
-        H: SnapshotSource + Clone + Send + 'static,
-        R: RibSource + Send + 'static,
-    {
-        let config = self.config;
-        let workers = self.workers;
-        let arena = self.arena;
-        let slot = Arc::new(Slot::new());
-        let spawned = Instant::now();
-        self.dispatch.run(&slot, move || {
-            let index = PrefixDomainIndex::build_source_with_arena(&snapshot, &rib, arena);
-            let set = detect_standalone(&index, &config, workers);
-            MonthOutput {
-                set,
-                settle_ns: spawned.elapsed().as_nanos() as u64,
-            }
-        });
-        slot
-    }
 }
 
 /// Shard count for the one-shot `detect` path, where shards are
@@ -915,60 +867,6 @@ fn window_shard_count(config: &EngineConfig, workers: usize, groups_hint: usize)
     // invert the clamp bounds.
     let parallel_floor = (workers * 4).clamp(1, 4096);
     groups_hint.clamp(parallel_floor, 4096)
-}
-
-/// Serial one-shot detection with the same shard layout as
-/// [`DetectEngine::detect`] — used inside full-mode month tasks, which
-/// must not nest a `map` onto the pool they already occupy (whole months
-/// are the parallel unit there).
-fn detect_standalone(
-    index: &PrefixDomainIndex,
-    config: &EngineConfig,
-    workers: usize,
-) -> SiblingSet {
-    let Some(layout) = OneShotLayout::of(index, config, workers) else {
-        return SiblingSet::default();
-    };
-    let outcomes: Vec<ShardOutcome> = layout
-        .shards()
-        .map(|shard| score_shard(&layout.view, config.metric, shard))
-        .collect();
-    assemble(outcomes.iter(), config.policy)
-}
-
-/// The shared setup of both one-shot paths ([`DetectEngine::detect`] and
-/// [`detect_standalone`]): the captured view plus the positional shard
-/// chunking. Keeping one implementation guarantees the two paths can
-/// only differ in *how* the chunks are dispatched, never in what they
-/// score — the full-mode/incremental bit-identity contract rests on it.
-struct OneShotLayout {
-    view: ScoreView,
-    groups: Vec<(Ipv4Prefix, SetHandle)>,
-    chunk: usize,
-}
-
-impl OneShotLayout {
-    /// `None` iff the index has no v4 groups (nothing to detect).
-    fn of(index: &PrefixDomainIndex, config: &EngineConfig, workers: usize) -> Option<Self> {
-        let groups: Vec<(Ipv4Prefix, SetHandle)> = index
-            .group_sets::<u32>()
-            .map(|(p, h)| (*p, h.clone()))
-            .collect();
-        if groups.is_empty() {
-            return None;
-        }
-        let shard_count = one_shot_shard_count(config, workers, groups.len());
-        let chunk = groups.len().div_ceil(shard_count);
-        Some(Self {
-            view: ScoreView::capture(index),
-            groups,
-            chunk,
-        })
-    }
-
-    fn shards(&self) -> impl Iterator<Item = &[(Ipv4Prefix, SetHandle)]> {
-        self.groups.chunks(self.chunk)
-    }
 }
 
 impl DetectEngine {
@@ -1016,24 +914,31 @@ impl DetectEngine {
     /// scoring, then a best-match reduction. Output is bit-identical to
     /// [`crate::detect`] with the same metric and policy.
     pub fn detect(&self, index: &PrefixDomainIndex) -> SiblingSet {
-        let Some(layout) = OneShotLayout::of(index, &self.config, self.workers()) else {
+        let groups: Vec<(Ipv4Prefix, SetHandle)> = index
+            .group_sets::<u32>()
+            .map(|(p, h)| (*p, h.clone()))
+            .collect();
+        if groups.is_empty() {
             return SiblingSet::default();
-        };
-        let shards: Vec<&[(Ipv4Prefix, SetHandle)]> = layout.shards().collect();
+        }
+        let shard_count = one_shot_shard_count(&self.config, self.workers(), groups.len());
+        let shards: Vec<&[(Ipv4Prefix, SetHandle)]> =
+            groups.chunks(groups.len().div_ceil(shard_count)).collect();
         let metric = self.config.metric;
-        let view = &layout.view;
-        let outcomes = self.execute(&shards, |shard| score_shard(view, metric, shard));
+        let view = ScoreView::capture(index);
+        let outcomes = self
+            .pool()
+            .map(&shards, |_, shard| score_shard(&view, metric, shard));
         assemble(outcomes.iter(), self.config.policy)
     }
 
     /// Walks the inclusive monthly window `from..=to` once: per month,
     /// the RIB is taken from the archive (most recent at or before the
     /// date), the snapshot from `snapshot_of`, and detection runs over an
-    /// index interned in the shared arena. With
-    /// [`EngineConfig::incremental`] (the default) consecutive months are
+    /// index interned in the shared arena. Consecutive months are
     /// processed as snapshot deltas with dirty-shard rescoring, so the
-    /// walk's cost scales with churn — and with the `parallel` feature
-    /// the months themselves overlap on the pool (see module docs).
+    /// walk's cost scales with churn, and the months themselves overlap
+    /// on the engine's pool (see module docs).
     ///
     /// The provider returns any owning, cheaply-cloneable
     /// [`SnapshotSource`] handle: `Arc<DnsSnapshot>` for regenerated
@@ -1079,32 +984,23 @@ impl DetectEngine {
         // the lock is uncontended.
         let snapshot_of = Mutex::new(&mut snapshot_of);
         let recycled_before = self.arena.recycled_count();
-        #[cfg(feature = "parallel")]
-        let result = {
-            let pool = Arc::clone(self.pool());
-            pool.scope(|scope| {
-                let dispatch = Dispatch { scope };
-                self.run_dates_inner(dates, archive, &snapshot_of, &dispatch)
-            })
-        };
-        #[cfg(not(feature = "parallel"))]
-        let result = {
-            let dispatch = Dispatch {
-                _marker: std::marker::PhantomData,
-            };
-            self.run_dates_inner(dates, archive, &snapshot_of, &dispatch)
-        };
-        let mut run = result?;
+        let (mut run, state) = self.pool().scope(|scope| {
+            self.run_dates_inner(dates, archive, &snapshot_of, &Dispatch { scope })
+        })?;
         // Arena accounting happens strictly after the scope has drained:
         // collection unblocks on each month's `Slot::set`, but a score
         // bundle still holds its captured view/handles for an instant
         // after its last `set` — only the scope exit guarantees every
-        // task (and thus every transient pin) is gone, making the final
-        // sweep and the stats deterministic across schedules.
+        // task (and thus every transient pin) is gone. The final index
+        // stays alive through the sweep: a set whose release was
+        // deferred and that the index later re-interned must count as
+        // live, exactly as when the release had completed at once, so
+        // the live-set count does not depend on the schedule.
         self.arena.sweep();
         run.stats.distinct_sets = self.arena.len();
         run.stats.dedup_hits = self.arena.dedup_hits();
         run.stats.recycled_sets = self.arena.recycled_count() - recycled_before;
+        drop(state);
         Ok(run)
     }
 
@@ -1117,16 +1013,15 @@ impl DetectEngine {
         archive: &RibArchive<R>,
         snapshot_of: &Mutex<&mut S>,
         dispatch: &Dispatch<'_, 'env>,
-    ) -> Result<BatchRun, String>
+    ) -> Result<(BatchRun, Option<WindowState<H, R>>), String>
     where
         H: SnapshotSource + Clone + Send + 'static,
         R: RibSource + Clone + Send + Sync + 'static,
         S: FnMut(MonthDate) -> H + Send,
     {
-        let config = self.config;
         let arena = &self.arena;
         let ctx = WindowCtx {
-            config,
+            config: self.config,
             workers: self.workers(),
             arena,
             dispatch,
@@ -1160,7 +1055,7 @@ impl DetectEngine {
         for i in 0..n {
             while loaded < n && loaded <= i + lookahead {
                 let handle = (snapshot_of.lock().unwrap())(dates[loaded]);
-                if config.incremental && loaded > 0 {
+                if loaded > 0 {
                     let prev = snaps[loaded - 1].clone().expect("loaded in order");
                     let next = handle.clone();
                     let slot = Arc::new(Slot::new());
@@ -1174,42 +1069,24 @@ impl DetectEngine {
             let rib = ribs[i].clone();
             let started = Instant::now();
 
-            let churn = if !config.incremental {
-                // The reference per-date pipeline: fresh index, full
-                // scoring — dispatched whole, so full-mode months
-                // parallelize across the window.
-                month_slots.push(ctx.spawn_full_month(snapshot, rib));
-                MonthChurn {
-                    date: dates[i],
-                    added: 0,
-                    removed: 0,
-                    retargeted: 0,
-                    changed_effective: 0,
-                    dirty_shards: 0,
-                    total_shards: 0,
-                    full_rebuild: true,
+            let churn = match state.as_mut() {
+                Some(prev) if prev.rib.same_table(&rib) => {
+                    let delta = match diffs[i].take() {
+                        Some(slot) => slot.take(),
+                        None => SnapshotDelta::diff_sources(&prev.snapshot, &snapshot),
+                    };
+                    ctx.advance_month(prev, dates[i], snapshot, delta)
                 }
-            } else {
-                let churn = match state.as_mut() {
-                    Some(prev) if prev.rib.same_table(&rib) => {
-                        let delta = match diffs[i].take() {
-                            Some(slot) => slot.take(),
-                            None => SnapshotDelta::diff_sources(&prev.snapshot, &snapshot),
-                        };
-                        ctx.advance_month(prev, dates[i], snapshot, delta)
-                    }
-                    // A different RIB invalidates every domain→prefix
-                    // mapping: rebuild, re-seeding the window state.
-                    _ => {
-                        let superseded = state.take();
-                        let (seeded, churn) = ctx.seed_window(dates[i], snapshot, rib, superseded);
-                        state = Some(seeded);
-                        churn
-                    }
-                };
-                month_slots.push(ctx.spawn_assemble(state.as_ref().expect("state seeded")));
-                churn
+                // A different RIB invalidates every domain→prefix
+                // mapping: rebuild, re-seeding the window state.
+                _ => {
+                    let superseded = state.take();
+                    let (seeded, churn) = ctx.seed_window(dates[i], snapshot, rib, superseded);
+                    state = Some(seeded);
+                    churn
+                }
             };
+            month_slots.push(ctx.spawn_assemble(state.as_ref().expect("state seeded")));
             patch_ns.push(started.elapsed().as_nanos() as u64);
             churns.push(churn);
             // Reclaim sets whose deferred releases have since unpinned.
@@ -1234,48 +1111,16 @@ impl DetectEngine {
         // Arena stats (and the final sweep) are filled in by `run_dates`
         // once the pool scope has drained — a straggling bundle may
         // still pin sets for an instant after its last `Slot::set`.
-        Ok(run)
+        Ok((run, state))
     }
 
-    #[cfg(feature = "parallel")]
-    fn pool(&self) -> &Arc<sibling_executor::ThreadPool> {
-        self.pool.get_or_init(|| {
-            Arc::new(sibling_executor::ThreadPool::with_threads(
-                self.config.threads,
-            ))
-        })
+    fn pool(&self) -> &ThreadPool {
+        self.pool
+            .get_or_init(|| ThreadPool::with_threads(self.config.threads))
     }
 
-    #[cfg(feature = "parallel")]
     fn workers(&self) -> usize {
         self.pool().threads()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn workers(&self) -> usize {
-        1
-    }
-
-    /// Runs `f` over every item on the persistent pool (serially without
-    /// the feature). Output order always equals item order.
-    #[cfg(feature = "parallel")]
-    fn execute<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(&T) -> O + Sync,
-    {
-        self.pool().map(items, |_, item| f(item))
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn execute<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(&T) -> O + Sync,
-    {
-        items.iter().map(f).collect()
     }
 }
 
@@ -1391,6 +1236,13 @@ mod tests {
         (snap, rib)
     }
 
+    /// The oracle every window test compares against: a fresh index and
+    /// the serial reference `detect` at one date.
+    fn per_date_detect(snap: &DnsSnapshot, rib: &Rib) -> SiblingSet {
+        let index = PrefixDomainIndex::build(snap, rib);
+        detect(&index, SimilarityMetric::Jaccard, BestMatchPolicy::Union)
+    }
+
     fn assert_sets_equal(got: &SiblingSet, want: &SiblingSet) {
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want.iter()) {
@@ -1421,7 +1273,6 @@ mod tests {
                         policy,
                         shards,
                         threads: 2,
-                        ..EngineConfig::default()
                     });
                     let index = engine.build_index(&snap, &rib);
                     let got = engine.detect(&index);
@@ -1506,9 +1357,7 @@ mod tests {
         assert_eq!(run.timings.len(), 3, "one timing record per month");
 
         for (date, snap) in &snaps {
-            let index = PrefixDomainIndex::build(snap, &rib);
-            let want = detect(&index, SimilarityMetric::Jaccard, BestMatchPolicy::Union);
-            assert_sets_equal(run.at(*date).unwrap(), &want);
+            assert_sets_equal(run.at(*date).unwrap(), &per_date_detect(snap, &rib));
         }
         assert!(run.at(MonthDate::new(2023, 1)).is_none());
     }
@@ -1538,7 +1387,7 @@ mod tests {
     }
 
     /// Zero churn reuses every shard; full turnover rescored — and both
-    /// extremes stay bit-identical to the full-rebuild reference.
+    /// extremes stay bit-identical to per-date `detect`.
     #[test]
     fn incremental_handles_churn_extremes() {
         let (snap, rib) = fixture();
@@ -1581,33 +1430,22 @@ mod tests {
         assert!(run.churn[2].dirty_shards > 0, "full churn rescore");
         assert_eq!(run.stats.full_rebuilds, 1);
         assert!(run.stats.recycled_sets > 0, "dead sets recycled");
-
-        let mut full = DetectEngine::new(EngineConfig {
-            shards: 8,
-            threads: 2,
-            incremental: false,
-            ..EngineConfig::default()
-        });
-        let full_run = full
-            .run_dates(&dates, &archive, |d| snaps[&d].clone())
-            .unwrap();
-        assert_eq!(full_run.stats.full_rebuilds, 3);
-        for &d in snaps.keys() {
-            assert_sets_equal(run.at(d).unwrap(), full_run.at(d).unwrap());
+        for (&d, snap) in &snaps {
+            assert_sets_equal(run.at(d).unwrap(), &per_date_detect(snap, &rib));
         }
     }
 
     #[test]
     fn rib_change_mid_window_forces_rebuild_and_stays_exact() {
-        // The archive swaps tables between months: incremental must
+        // The archive swaps tables between months: the window must
         // detect the new Arc, rebuild, and keep matching the reference.
         let (snap, rib_a) = fixture();
         let mut rib_b = rib_a.clone();
         rib_b.announce(p4("192.0.2.0/24"), Asn(9));
         let dates = [MonthDate::new(2024, 7), MonthDate::new(2024, 8)];
         let mut archive = RibArchive::new();
-        archive.insert(dates[0], rib_a);
-        archive.insert(dates[1], rib_b);
+        archive.insert(dates[0], rib_a.clone());
+        archive.insert(dates[1], rib_b.clone());
         let snap = Arc::new(snap);
         let snapshot_of = |d: MonthDate| Arc::new(snap.redated(d));
 
@@ -1615,19 +1453,14 @@ mod tests {
         let run = inc.run_dates(&dates, &archive, snapshot_of).unwrap();
         assert!(run.churn[1].full_rebuild, "new RIB forces a rebuild");
         assert_eq!(run.stats.full_rebuilds, 2);
-
-        let mut full = DetectEngine::new(EngineConfig {
-            incremental: false,
-            ..EngineConfig::default()
-        });
-        let full_run = full.run_dates(&dates, &archive, snapshot_of).unwrap();
-        for &d in &dates {
-            assert_sets_equal(run.at(d).unwrap(), full_run.at(d).unwrap());
+        for (&d, rib) in dates.iter().zip([&rib_a, &rib_b]) {
+            assert_sets_equal(run.at(d).unwrap(), &per_date_detect(&snapshot_of(d), rib));
         }
     }
 
     /// The cross-month scheduler contract: stdout-visible results are
-    /// identical across window thread counts, in both engine modes.
+    /// identical across window thread counts, and equal per-date
+    /// `detect`.
     #[test]
     fn window_results_identical_across_thread_counts() {
         let (_snap, rib) = fixture();
@@ -1658,42 +1491,38 @@ mod tests {
             }
             Arc::new(s)
         };
-        for incremental in [true, false] {
-            let mut reference: Option<BatchRun> = None;
-            for threads in [1usize, 2, 4] {
-                // Shard count pinned: auto-sizing scales its floor with
-                // the worker count, which is fine for results (identical
-                // either way) but would make the churn-accounting
-                // comparison below meaningless.
-                let mut engine = DetectEngine::new(EngineConfig {
-                    threads,
-                    incremental,
-                    shards: 16,
-                    ..EngineConfig::default()
-                });
-                let run = engine.run_dates(&dates, &archive, snapshot_of).unwrap();
-                assert_eq!(run.timings.len(), dates.len());
-                if let Some(want) = &reference {
-                    assert_eq!(run.results.len(), want.results.len());
-                    for &d in &dates {
-                        assert_sets_equal(run.at(d).unwrap(), want.at(d).unwrap());
-                    }
-                    // Churn accounting is scheduling-independent too.
-                    for (got, want) in run.churn.iter().zip(want.churn.iter()) {
-                        assert_eq!(got.dirty_shards, want.dirty_shards);
-                        assert_eq!(got.full_rebuild, want.full_rebuild);
-                        assert_eq!(got.changed_effective, want.changed_effective);
-                    }
-                } else {
-                    reference = Some(run);
+        let mut reference: Option<BatchRun> = None;
+        for threads in [1usize, 2, 4] {
+            // Shard count pinned: auto-sizing scales its floor with the
+            // worker count, which is fine for results (identical either
+            // way) but would make the churn-accounting comparison below
+            // meaningless.
+            let mut engine = DetectEngine::new(EngineConfig {
+                threads,
+                shards: 16,
+                ..EngineConfig::default()
+            });
+            let run = engine.run_dates(&dates, &archive, snapshot_of).unwrap();
+            assert_eq!(run.timings.len(), dates.len());
+            for &d in &dates {
+                assert_sets_equal(run.at(d).unwrap(), &per_date_detect(&snapshot_of(d), &rib));
+            }
+            if let Some(want) = &reference {
+                // Churn accounting is scheduling-independent too.
+                for (got, want) in run.churn.iter().zip(want.churn.iter()) {
+                    assert_eq!(got.dirty_shards, want.dirty_shards);
+                    assert_eq!(got.full_rebuild, want.full_rebuild);
+                    assert_eq!(got.changed_effective, want.changed_effective);
                 }
+            } else {
+                reference = Some(run);
             }
         }
     }
 
     /// Property test: the sharded engine (any shard count) agrees with
     /// the serial reference `detect` across random worlds, metrics and
-    /// policies — the bit-identity contract of the `parallel` feature.
+    /// policies — the bit-identity contract of the pooled shard dispatch.
     #[test]
     fn prop_engine_bit_identical_to_serial() {
         use proptest::prelude::*;
@@ -1740,7 +1569,6 @@ mod tests {
                         policy,
                         shards,
                         threads: 3,
-                        ..EngineConfig::default()
                     });
                     let index = engine.build_index(&snap, &rib);
                     let got = engine.detect(&index);
@@ -1759,8 +1587,9 @@ mod tests {
 
     /// Property test: the incremental window (deltas, in-place index
     /// patching, dirty-shard rescoring, cached clean shards, cross-month
-    /// scheduling) is bit-identical to the full-rebuild window *and* to
-    /// per-date serial detection, across randomized month sequences
+    /// scheduling) is bit-identical to a full rebuild of every month —
+    /// a fresh index and serial `detect` per date — across randomized
+    /// month sequences
     /// whose churn spans 0% (repeated months) to 100% (disjoint
     /// assignments), including domains dropping in and out of
     /// dual-stack, at varying shard and thread counts.
@@ -1832,32 +1661,17 @@ mod tests {
                 let inc_run = inc
                     .run_dates(&dates, &archive, |d| snaps[&d].clone())
                     .unwrap();
-                let mut full = DetectEngine::new(EngineConfig {
-                    shards,
-                    threads,
-                    incremental: false,
-                    ..EngineConfig::default()
-                });
-                let full_run = full
-                    .run_dates(&dates, &archive, |d| snaps[&d].clone())
-                    .unwrap();
-                prop_assert_eq!(inc_run.results.len(), full_run.results.len());
+                prop_assert_eq!(inc_run.results.len(), snaps.len());
                 for (&d, snap) in &snaps {
                     let got = inc_run.at(d).unwrap();
-                    let want_full = full_run.at(d).unwrap();
-                    let index = PrefixDomainIndex::build(snap, &rib);
-                    let want_serial =
-                        detect(&index, SimilarityMetric::Jaccard, BestMatchPolicy::Union);
-                    prop_assert_eq!(got.len(), want_full.len());
-                    prop_assert_eq!(got.len(), want_serial.len());
-                    for ((g, wf), ws) in got.iter().zip(want_full.iter()).zip(want_serial.iter()) {
-                        prop_assert_eq!((g.v4, g.v6), (wf.v4, wf.v6));
-                        prop_assert_eq!((g.v4, g.v6), (ws.v4, ws.v6));
-                        prop_assert_eq!(g.similarity, wf.similarity);
-                        prop_assert_eq!(g.similarity, ws.similarity);
-                        prop_assert_eq!(g.shared_domains, wf.shared_domains);
-                        prop_assert_eq!(g.v4_domains, wf.v4_domains);
-                        prop_assert_eq!(g.v6_domains, wf.v6_domains);
+                    let want = per_date_detect(snap, &rib);
+                    prop_assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(want.iter()) {
+                        prop_assert_eq!((g.v4, g.v6), (w.v4, w.v6));
+                        prop_assert_eq!(g.similarity, w.similarity);
+                        prop_assert_eq!(g.shared_domains, w.shared_domains);
+                        prop_assert_eq!(g.v4_domains, w.v4_domains);
+                        prop_assert_eq!(g.v6_domains, w.v6_domains);
                     }
                 }
                 // The first month is always a rebuild; later months only

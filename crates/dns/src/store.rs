@@ -152,7 +152,7 @@ impl StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Io(e) => write!(f, "snapshot store I/O error: {e}"),
+            StoreError::Io(e) => write!(f, "store I/O error: {e}"),
             StoreError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
             StoreError::BadEndian => write!(f, "snapshot file written on a foreign-endian host"),
             StoreError::BadVersion(v) => write!(f, "unsupported snapshot format version {v}"),
@@ -792,11 +792,17 @@ impl SnapshotStore {
 
 /// Flushes a directory after a rename so the new directory entry is
 /// durable, completing the fsync → rename → dir-fsync sequence the
-/// atomic store writes rely on. No-op where directories cannot be
-/// opened (non-unix).
+/// atomic store writes rely on. An empty path — the `parent()` of a
+/// bare file name — is the working directory. No-op where directories
+/// cannot be opened (non-unix).
 pub fn sync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(unix)]
     {
+        let dir = if dir.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            dir
+        };
         std::fs::File::open(dir)?.sync_all()
     }
     #[cfg(not(unix))]
@@ -864,6 +870,14 @@ mod tests {
             .write_all(bytes)
             .unwrap();
         path
+    }
+
+    #[test]
+    fn sync_dir_treats_an_empty_path_as_the_working_directory() {
+        // `Path::new("bare.jrnl").parent()` is `""`: journals opened by
+        // a bare file name sync the directory they live in.
+        assert_eq!(Path::new("bare.jrnl").parent(), Some(Path::new("")));
+        sync_dir(Path::new("")).unwrap();
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! The pool is **persistent**: workers are spawned once at construction
 //! and parked on a condvar while the shared queue is empty, so submitting
 //! work costs a queue push and a wake-up instead of an OS thread spawn.
-//! This matters for the engine's longitudinal runs, where `map` is called
-//! once per month per window — with per-call spawning (the previous
-//! design, kept as [`scoped_map`] for comparison) the dispatch overhead
-//! recurs every month; with the persistent pool it is paid once per
-//! engine. Dropping the pool drains the queue and joins every worker.
+//! This matters for the engine's longitudinal runs, which dispatch work
+//! every month of a window — with per-call thread spawning the dispatch
+//! overhead would recur every month; with the persistent pool it is paid
+//! once per engine. Dropping the pool drains the queue and joins every
+//! worker.
 //!
 //! `map` keeps the classic chunked work-stealing layout:
 //!
@@ -522,11 +522,8 @@ impl ResidentCtx {
     }
 }
 
-/// The chunked work-stealing layout shared by [`ThreadPool::map`] and
-/// [`scoped_map`]: one contiguous chunk per participant, each with a
-/// shared atomic cursor. Keeping one implementation guarantees the
-/// `pool_dispatch` benchmark's two sides differ only in how slots are
-/// dispatched, never in how they steal.
+/// The chunked work-stealing layout of [`ThreadPool::map`]: one
+/// contiguous chunk per participant, each with a shared atomic cursor.
 struct StealLayout {
     workers: usize,
     /// Per-participant `(start, end)` item ranges.
@@ -593,68 +590,6 @@ impl Drop for ThreadPool {
             let _ = handle.join();
         }
     }
-}
-
-/// The pre-persistent-pool reference: applies `f` to every item in item
-/// order by spawning scoped threads **per call** (`std::thread::scope`).
-/// Output is identical to [`ThreadPool::map`]; only the dispatch cost
-/// differs — this is the baseline the `pool_dispatch` benchmark and the
-/// equivalence tests compare the persistent queue against. `threads == 0`
-/// auto-sizes to the machine.
-pub fn scoped_map<I, O, F>(threads: usize, items: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-
-    let layout = StealLayout::new(workers, items.len());
-    let mut collected: Vec<Vec<(usize, O)>> = Vec::with_capacity(workers);
-    // Join failures are aggregated, not unwrapped in place: panicking
-    // inside the scope while other workers are still being joined would
-    // make the scope's own cleanup join a second panic on top of the
-    // unwind — a double panic, which aborts the process. Every handle is
-    // joined first; one panic is resumed after the scope exits cleanly.
-    let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let layout = &layout;
-                let f = &f;
-                scope.spawn(move || layout.run_slot(me, items, f))
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => collected.push(part),
-                Err(payload) => panics.push(payload),
-            }
-        }
-    });
-    if !panics.is_empty() {
-        if panics.len() > 1 {
-            eprintln!(
-                "executor: {} scoped workers panicked; resuming the first panic",
-                panics.len()
-            );
-        }
-        std::panic::resume_unwind(panics.swap_remove(0));
-    }
-
-    let mut tagged: Vec<(usize, O)> = collected.into_iter().flatten().collect();
-    tagged.sort_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, o)| o).collect()
 }
 
 #[cfg(test)]
@@ -949,39 +884,5 @@ mod tests {
             }
         }
         assert_eq!(count.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn scoped_map_reference_agrees_with_pool_map() {
-        let items: Vec<u64> = (0..333).collect();
-        let pool = ThreadPool::with_threads(5);
-        let a = pool.map(&items, |i, x| x * 7 + i as u64);
-        let b = scoped_map(5, &items, |i, x| x * 7 + i as u64);
-        assert_eq!(a, b);
-        assert_eq!(scoped_map(0, &[9u32], |_, x| *x), vec![9]);
-        assert!(scoped_map(3, &Vec::<u32>::new(), |_, x| *x).is_empty());
-    }
-
-    #[test]
-    fn scoped_map_propagates_worker_panics_without_aborting() {
-        // Every worker's chunk contains a panicking item, so several
-        // workers panic concurrently. The joins must aggregate the
-        // payloads and resume exactly one unwind — an in-scope unwrap
-        // would double-panic during scope cleanup and abort the process
-        // (unobservable by a test), which is exactly the bug pinned here.
-        let items: Vec<u32> = (0..64).collect();
-        let payload = std::panic::catch_unwind(|| {
-            scoped_map(4, &items, |_, x| {
-                if x % 2 == 0 {
-                    panic!("injected worker panic on {x}");
-                }
-                *x
-            })
-        })
-        .unwrap_err();
-        let message = payload
-            .downcast_ref::<String>()
-            .expect("panic payload is the worker's message");
-        assert!(message.starts_with("injected worker panic"), "{message}");
     }
 }

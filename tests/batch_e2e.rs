@@ -1,7 +1,6 @@
 //! End-to-end contract of the batch driver: `DetectEngine::run_window`
 //! over a multi-month synthetic window produces, per date, exactly the
-//! same `SiblingSet` as independent per-date `detect` invocations — with
-//! and without the `parallel` feature (CI runs both configurations).
+//! same `SiblingSet` as independent per-date `detect` invocations.
 
 use std::sync::Arc;
 

@@ -2,8 +2,7 @@
 //! scored window answers every query family across a **real socket**
 //! bit-identically to an independent batch recompute of the same window,
 //! and malformed request lines produce typed errors without dropping the
-//! connection. Runs with and without the `parallel` feature (CI runs
-//! both configurations).
+//! connection.
 
 use std::sync::Arc;
 

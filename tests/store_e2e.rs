@@ -1,15 +1,16 @@
 //! End-to-end contract of the zero-copy snapshot store: a world window
 //! exported to disk and mapped back as `SnapshotFile` handles drives the
 //! batch engine to **bit-identical** sibling sets versus regenerating
-//! every snapshot in process — incremental and full-rebuild modes, with
-//! and without the `parallel` feature (CI runs both configurations).
+//! every snapshot in process, and both equal per-date `detect`.
 //! Also pins the zero-copy index-build and diff paths against their
 //! owned-snapshot references over worldgen-scale data.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use sibling_core::{DetectEngine, EngineConfig, PrefixDomainIndex, SiblingSet};
+use sibling_core::{
+    detect, BestMatchPolicy, DetectEngine, PrefixDomainIndex, SiblingSet, SimilarityMetric,
+};
 use sibling_dns::{LoadMode, SnapshotDelta, SnapshotStore, StoreError};
 use sibling_worldgen::{World, WorldConfig};
 
@@ -55,32 +56,29 @@ fn store_backed_window_is_bit_identical_to_regeneration() {
     // Re-export is a no-op without force.
     assert_eq!(world.export_snapshots(&store, from, to, false).unwrap(), 0);
 
-    for incremental in [true, false] {
-        let config = EngineConfig {
-            incremental,
-            ..EngineConfig::default()
-        };
-        let mut from_store = DetectEngine::new(config);
-        let stored = from_store
-            .run_window(from, to, &archive, |date| store.load(date).unwrap())
-            .unwrap();
-        let mut from_world = DetectEngine::new(config);
-        let regenerated = from_world
-            .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
-            .unwrap();
-        assert_eq!(stored.results.len(), regenerated.results.len());
-        for ((d_s, got), (d_r, want)) in stored.results.iter().zip(regenerated.results.iter()) {
-            assert_eq!(d_s, d_r);
-            assert!(!want.is_empty(), "world detects pairs at {d_s}");
-            assert_sets_equal(got, want, &format!("{d_s} (incremental={incremental})"));
-        }
-        // Churn accounting is input-derived, so it matches too.
-        for (cs, cr) in stored.churn.iter().zip(regenerated.churn.iter()) {
-            assert_eq!(cs.added, cr.added);
-            assert_eq!(cs.removed, cr.removed);
-            assert_eq!(cs.retargeted, cr.retargeted);
-            assert_eq!(cs.dirty_shards, cr.dirty_shards);
-        }
+    let mut from_store = DetectEngine::default();
+    let stored = from_store
+        .run_window(from, to, &archive, |date| store.load(date).unwrap())
+        .unwrap();
+    let mut from_world = DetectEngine::default();
+    let regenerated = from_world
+        .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
+        .unwrap();
+    assert_eq!(stored.results.len(), regenerated.results.len());
+    for ((d_s, got), (d_r, want)) in stored.results.iter().zip(regenerated.results.iter()) {
+        assert_eq!(d_s, d_r);
+        assert!(!want.is_empty(), "world detects pairs at {d_s}");
+        assert_sets_equal(got, want, &format!("{d_s} (stored vs regenerated)"));
+        let index = PrefixDomainIndex::build(&world.snapshot(*d_s), world.rib());
+        let oracle = detect(&index, SimilarityMetric::Jaccard, BestMatchPolicy::Union);
+        assert_sets_equal(got, &oracle, &format!("{d_s} (stored vs detect)"));
+    }
+    // Churn accounting is input-derived, so it matches too.
+    for (cs, cr) in stored.churn.iter().zip(regenerated.churn.iter()) {
+        assert_eq!(cs.added, cr.added);
+        assert_eq!(cs.removed, cr.removed);
+        assert_eq!(cs.retargeted, cr.retargeted);
+        assert_eq!(cs.dirty_shards, cr.dirty_shards);
     }
 }
 

@@ -12,7 +12,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use sibling_analysis::{AnalysisContext, StoreBackedWorld};
-use sibling_core::{DetectEngine, EngineConfig, SiblingSet};
+use sibling_core::{
+    detect, BestMatchPolicy, DetectEngine, PrefixDomainIndex, SiblingSet, SimilarityMetric,
+};
 use sibling_dns::{LoadMode, SnapshotStore};
 use sibling_net_types::MonthDate;
 use sibling_store::{check_months, WorldStore};
@@ -68,19 +70,24 @@ fn store_backed_window_runs_with_zero_worldgen_and_identical_output() {
     )
     .unwrap();
 
-    // Reference runs from the in-memory world, both engine modes.
+    // The per-month oracle — a fresh index and the reference `detect`
+    // per date — and the window run from the in-memory world.
+    let oracle: BTreeMap<MonthDate, SiblingSet> = window
+        .iter()
+        .map(|&d| {
+            let index = PrefixDomainIndex::build(&world.snapshot(d), world.rib());
+            let set = detect(&index, SimilarityMetric::Jaccard, BestMatchPolicy::Union);
+            (d, set)
+        })
+        .collect();
     let archive = world.rib_archive();
-    let mut reference: BTreeMap<bool, Vec<(MonthDate, SiblingSet)>> = BTreeMap::new();
-    for incremental in [true, false] {
-        let mut engine = DetectEngine::new(EngineConfig {
-            incremental,
-            ..EngineConfig::default()
-        });
-        let run = engine
-            .run_window(from, to, &archive, |d| Arc::new(world.snapshot(d)))
-            .unwrap();
-        assert!(run.results.iter().all(|(_, s)| !s.is_empty()));
-        reference.insert(incremental, run.results);
+    let mut engine = DetectEngine::default();
+    let run = engine
+        .run_window(from, to, &archive, |d| Arc::new(world.snapshot(d)))
+        .unwrap();
+    assert!(run.results.iter().all(|(_, s)| !s.is_empty()));
+    for (d, got) in &run.results {
+        assert_sets_equal(got, &oracle[d], &format!("{d} (in-memory vs detect)"));
     }
     let world_day0_pairs = {
         let ctx = AnalysisContext::new(world);
@@ -95,20 +102,13 @@ fn store_backed_window_runs_with_zero_worldgen_and_identical_output() {
     let stored = WorldStore::open(&scratch.0, Some(fingerprint)).unwrap();
     check_months(&stored, &window).unwrap();
     let archive = stored.rib_archive();
-    for incremental in [true, false] {
-        let mut engine = DetectEngine::new(EngineConfig {
-            incremental,
-            ..EngineConfig::default()
-        });
-        let run = engine
-            .run_window(from, to, &archive, |d| snapshots.load(d).unwrap())
-            .unwrap();
-        let want = &reference[&incremental];
-        assert_eq!(run.results.len(), want.len());
-        for ((d_s, got), (d_r, want)) in run.results.iter().zip(want.iter()) {
-            assert_eq!(d_s, d_r);
-            assert_sets_equal(got, want, &format!("{d_s} (incremental={incremental})"));
-        }
+    let mut engine = DetectEngine::default();
+    let run = engine
+        .run_window(from, to, &archive, |d| snapshots.load(d).unwrap())
+        .unwrap();
+    assert_eq!(run.results.len(), oracle.len());
+    for (d, got) in &run.results {
+        assert_sets_equal(got, &oracle[d], &format!("{d} (store-backed vs detect)"));
     }
 
     // The full analysis context over the store agrees with the one over
