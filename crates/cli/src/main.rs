@@ -814,7 +814,9 @@ fn cmd_serve_live(
     let score = Instant::now();
     let mut engine = DetectEngine::new(engine_config);
     let run = engine.run_window(from, to, &archive, |date| snaps[&date].clone())?;
-    let tail = snaps[&to].clone();
+    // Moved out, not cloned: the epoch writer patches its tail in place,
+    // and a second handle kept here would make the first ingest copy it.
+    let tail = snaps.remove(&to).expect("every window month is loaded");
     let (epoch, index) =
         EpochState::seed(engine_config, archive, run.results, tail).map_err(|e| e.to_string())?;
     eprintln!(

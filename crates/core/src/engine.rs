@@ -343,11 +343,14 @@ impl CandidateIndex {
 
 /// Carried state of an incremental window walk, generic over the
 /// snapshot handle `H` — an `Arc<DnsSnapshot>` for regenerated worlds or
-/// an `Arc<sibling_dns::SnapshotFile>` for zero-copy store-backed runs —
-/// and the routing-table handle `R` (any [`RibSource`]; `Arc<Rib>` for
-/// regenerated worlds, a store-backed mmap table otherwise).
+/// an `Arc<sibling_dns::SnapshotFile>` for zero-copy store-backed runs;
+/// `()` for the live epoch writer, which owns its tail snapshot and
+/// patches it in place — and the routing-table handle `R` (any
+/// [`RibSource`]; `Arc<Rib>` for regenerated worlds, a store-backed
+/// mmap table otherwise).
 pub(crate) struct WindowState<H, R> {
-    /// The snapshot the index currently reflects.
+    /// The snapshot the index currently reflects (the batch walk diffs
+    /// the next month against it).
     snapshot: H,
     /// The table the index was built against; [`RibSource::same_table`]
     /// identity gates whether deltas may be applied.
@@ -387,11 +390,10 @@ impl<H, R> WindowState<H, R> {
     }
 }
 
-impl<H, R> WindowState<H, R>
-where
-    H: SnapshotSource + Clone,
-    R: RibSource,
-{
+/// The live epoch writer's serial window. It carries no snapshot
+/// handle: a second `Arc` on the writer's tail would make every
+/// in-place patch of that tail copy it.
+impl<R: RibSource> WindowState<(), R> {
     /// The routing table the carried index was built against (the live
     /// epoch writer gates delta application on
     /// [`RibSource::same_table`] identity, exactly like the batch
@@ -407,14 +409,14 @@ where
     /// given group count; the result is bit-identical across shard
     /// counts anyway (the engine's assembly contract), so the live path
     /// and the pooled batch path agree exactly.
-    pub(crate) fn seed_serial(
-        snapshot: H,
+    pub(crate) fn seed_serial<S: SnapshotSource + ?Sized>(
+        snapshot: &S,
         rib: R,
         config: &EngineConfig,
         arena: &SetArena,
         superseded: Option<Self>,
     ) -> Self {
-        let index = PrefixDomainIndex::build_source_with_arena(&snapshot, &rib, arena);
+        let index = PrefixDomainIndex::build_source_with_arena(snapshot, &rib, arena);
         if let Some(old) = superseded {
             // As in the pooled seed: release the superseded index only
             // *after* the new one is interned, so recurring sets dedup
@@ -430,7 +432,7 @@ where
         let candidates = CandidateIndex::seed(&index, shard_count);
         let placeholder: OutcomeSlot = Arc::new(Slot::ready(Arc::new(ShardOutcome::default())));
         let mut state = Self {
-            snapshot,
+            snapshot: (),
             rib,
             index,
             shard_count,
@@ -448,20 +450,15 @@ where
     /// batch path's exact order (index patch → dirty marking against
     /// *last* month's candidate index → candidate/member maintenance →
     /// rescore), so the resulting outcomes are bit-identical to a batch
-    /// recompute over the same snapshots. Returns the number of shards
-    /// rescored.
+    /// recompute over the same snapshots. The caller has checked that
+    /// `delta` starts at the month the index reflects. Returns the
+    /// number of shards rescored.
     pub(crate) fn apply_delta(
         &mut self,
-        snapshot: H,
         delta: &SnapshotDelta,
         arena: &SetArena,
         metric: SimilarityMetric,
     ) -> usize {
-        debug_assert_eq!(
-            delta.from_date(),
-            self.snapshot.snapshot_date(),
-            "delta base"
-        );
         let report = self.index.apply_delta(delta, &self.rib, arena);
         let shard_count = self.shard_count;
         let mut dirty = vec![false; shard_count];
@@ -487,7 +484,6 @@ where
             .collect();
         let rescored = dirty.len();
         self.rescore_serial(dirty, metric);
-        self.snapshot = snapshot;
         rescored
     }
 

@@ -8,11 +8,13 @@
 //! noticing, and publication must be a single atomic swap:
 //!
 //! ```text
-//!            ┌────────────── EpochState (writer-private) ──────────────┐
-//!  delta ──▶ │ validate → WindowState::apply_delta → rescore dirty     │
-//!            │ shards → assemble tail set → WindowQueryIndex::build    │
-//!            └───────────────┬─────────────────────────────────────────┘
-//!                            │ Arc<WindowQueryIndex>  (one per epoch)
+//!            ┌────────────── EpochState (writer-private) ────────────────┐
+//!  delta ──▶ │ validate → patch tail in place → WindowState::apply_delta │
+//!            │ → rescore dirty shards → assemble tail set                │
+//!            │ → committed index .successor(tail month)                  │
+//!            └───────────────┬───────────────────────────────────────────┘
+//!                            │ Arc<WindowQueryIndex>  (one per epoch;
+//!                            │ untouched months shared with the last)
 //!                            ▼
 //!                 PublishedWindow::swap  ──▶ readers pin per request
 //! ```
@@ -20,8 +22,18 @@
 //! [`EpochState`] carries the incremental engine's window state (the
 //! patched [`crate::PrefixDomainIndex`], per-shard cached outcomes and
 //! the structural candidate index) **serially**: every ingest patches
-//! the index in place, rescores exactly the dirty shards inline, and
-//! rebuilds the query index from the retained per-month sibling sets.
+//! the index in place and rescores exactly the dirty shards inline.
+//! Everything around that step costs the churn too, not the window:
+//!
+//! * the tail [`DnsSnapshot`] is patched in place through
+//!   [`Arc::make_mut`] ([`SnapshotDelta::apply_in_place`]) — the window
+//!   state holds no second handle on it, so the patch copies only when
+//!   some other holder (a compaction writing the old tail out, a reader
+//!   of [`EpochState::tail_snapshot`]) still pins the old version;
+//! * the replacement index is the committed index's
+//!   `WindowQueryIndex::successor`: a retarget rebuilds the tail month,
+//!   an append builds one month, and every other month is shared.
+//!
 //! Because the serial path mirrors the batch driver's order exactly and
 //! the engine's assembly is shard-count-independent, the published
 //! index after any ingest sequence is **bit-identical** to a batch
@@ -29,11 +41,13 @@
 //!
 //! **Failure is invisible.** If validation rejects the delta, the
 //! caller's pre-publish hook aborts, or the patch itself panics, the
-//! writer rolls back to the last published generation: the retained
-//! results are restored and the window state is reseeded from the
-//! committed tail snapshot (the possibly half-patched index's sets
-//! drain through the arena graveyard and [`SetArena::sweep`]). Readers
-//! can never observe a torn generation because the only reader-visible
+//! writer rolls back to the last published generation: the tail patch
+//! is reverted from the delta's `old` addresses
+//! ([`SnapshotDelta::revert_in_place`]) and the window state is reseeded
+//! from the reverted tail (the possibly half-patched index's sets drain
+//! through the arena graveyard and [`SetArena::sweep`]). The retained
+//! results and the committed index change only on commit. Readers can
+//! never observe a torn generation because the only reader-visible
 //! action is the `Arc` swap the caller performs *after* a successful
 //! ingest.
 
@@ -136,14 +150,19 @@ pub struct EpochState<R: RibSource + Clone> {
     archive: RibArchive<R>,
     /// Carried incremental state — `Some` between operations; taken
     /// only momentarily during reseeds. Boxed indirection is avoided on
-    /// purpose: the state is large but moved rarely.
-    state: Option<WindowState<Arc<DnsSnapshot>, R>>,
-    /// The committed tail snapshot (what the published generation's
-    /// last month reflects). Rollback reseeds from here.
+    /// purpose: the state is large but moved rarely. It holds no handle
+    /// on the tail, so the tail's only writer-side owner is `tail`.
+    state: Option<WindowState<(), R>>,
+    /// The tail snapshot (what the published generation's last month
+    /// reflects), patched in place by each ingest and reverted by a
+    /// rollback, which then reseeds from it.
     tail: Arc<DnsSnapshot>,
     /// The committed per-month results, ascending — the exact input of
     /// the published [`WindowQueryIndex`].
     results: Vec<(MonthDate, SiblingSet)>,
+    /// The committed generation's index; the next one is its
+    /// `WindowQueryIndex::successor`.
+    index: Arc<WindowQueryIndex>,
 }
 
 impl<R: RibSource + Clone> fmt::Debug for EpochState<R> {
@@ -183,7 +202,7 @@ impl<R: RibSource + Clone> EpochState<R> {
             .at_or_before(tail.date())
             .ok_or(IngestError::MissingRib(tail.date()))?;
         let arena = SetArena::default();
-        let state = WindowState::seed_serial(Arc::clone(&tail), rib, &config, &arena, None);
+        let state = WindowState::seed_serial(&*tail, rib, &config, &arena, None);
         Ok((
             Self {
                 config,
@@ -192,6 +211,7 @@ impl<R: RibSource + Clone> EpochState<R> {
                 state: Some(state),
                 tail,
                 results,
+                index: Arc::clone(&index),
             },
             index,
         ))
@@ -239,13 +259,18 @@ impl<R: RibSource + Clone> EpochState<R> {
     }
 
     /// Ingests one delta into the private generation and returns the
-    /// freshly built replacement index for the caller to swap into its
+    /// replacement index for the caller to swap into its
     /// [`crate::PublishedWindow`].
     ///
     /// * `delta.from` must be the committed tail month.
     /// * `delta.to == tail` is an **intra-month retarget**: the tail
     ///   month's result is replaced.
     /// * `delta.to > tail` **appends a month** to the window.
+    ///
+    /// The work is proportional to the delta: the tail snapshot is
+    /// patched in place (copied first only if someone else still holds
+    /// it), and the index is the committed one's successor, rebuilding
+    /// only the tail month.
     ///
     /// `pre_publish` runs after the generation is fully built but
     /// before commit — the serving layer's last-chance abort hook
@@ -266,34 +291,20 @@ impl<R: RibSource + Clone> EpochState<R> {
             .archive
             .at_or_before(delta.to_date())
             .expect("validated above");
-        let new_tail = Arc::new(delta.apply(&self.tail));
-        let append = delta.to_date() > tail_date;
-        // Rollback capture: the month count before, and (for retargets)
-        // the committed tail set the attempt overwrites in place.
-        let committed_len = self.results.len();
-        let saved_tail = if append {
-            None
-        } else {
-            Some(self.results.last().expect("seeded non-empty").clone())
-        };
+        delta.apply_in_place(Arc::make_mut(&mut self.tail));
 
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<Arc<WindowQueryIndex>, IngestError> {
+            || -> Result<(Arc<WindowQueryIndex>, SiblingSet), IngestError> {
                 let state = self.state.as_mut().expect("state seeded");
                 if state.rib().same_table(&rib) {
-                    state.apply_delta(
-                        Arc::clone(&new_tail),
-                        delta,
-                        &self.arena,
-                        self.config.metric,
-                    );
+                    state.apply_delta(delta, &self.arena, self.config.metric);
                 } else {
                     // A different RIB invalidates every domain→prefix
                     // mapping: reseed the whole window state at the new
                     // month, exactly like the batch driver.
                     let superseded = self.state.take();
                     self.state = Some(WindowState::seed_serial(
-                        Arc::clone(&new_tail),
+                        &*self.tail,
                         rib,
                         &self.config,
                         &self.arena,
@@ -305,48 +316,47 @@ impl<R: RibSource + Clone> EpochState<R> {
                     .as_ref()
                     .expect("state seeded")
                     .assemble_set(self.config.policy);
-                if append {
+                let index = Arc::new(self.index.successor(delta.to_date(), set.clone())?);
+                pre_publish().map_err(IngestError::Aborted)?;
+                Ok((index, set))
+            },
+        ));
+        match attempt {
+            Ok(Ok((index, set))) => {
+                if delta.to_date() > tail_date {
                     self.results.push((delta.to_date(), set));
                 } else {
                     *self.results.last_mut().expect("seeded non-empty") = (delta.to_date(), set);
                 }
-                let index = Arc::new(WindowQueryIndex::build(&self.results)?);
-                pre_publish().map_err(IngestError::Aborted)?;
-                Ok(index)
-            },
-        ));
-        match attempt {
-            Ok(Ok(index)) => {
-                self.tail = new_tail;
+                self.index = Arc::clone(&index);
                 self.arena.sweep();
                 Ok(index)
             }
             Ok(Err(err)) => {
-                self.rollback(committed_len, saved_tail);
+                self.rollback(delta);
                 Err(err)
             }
             Err(payload) => {
-                self.rollback(committed_len, saved_tail);
+                self.rollback(delta);
                 Err(IngestError::Panicked(panic_message(payload)))
             }
         }
     }
 
-    /// Discards the (possibly half-patched) private generation and
-    /// reseeds from the committed tail: results restored, window state
-    /// rebuilt, superseded sets swept through the arena graveyard.
-    fn rollback(&mut self, committed_len: usize, saved_tail: Option<(MonthDate, SiblingSet)>) {
-        self.results.truncate(committed_len);
-        if let Some(saved) = saved_tail {
-            *self.results.last_mut().expect("seeded non-empty") = saved;
-        }
+    /// Discards the (possibly half-patched) private generation: the
+    /// tail patch is reverted and the window state reseeded from the
+    /// reverted tail, the superseded sets swept through the arena
+    /// graveyard. The results and the index change only on commit, so
+    /// they need no restoring.
+    fn rollback(&mut self, delta: &SnapshotDelta) {
+        delta.revert_in_place(Arc::make_mut(&mut self.tail));
         let rib = self
             .archive
             .at_or_before(self.tail.date())
             .expect("rib resolved at seed time");
         let superseded = self.state.take();
         self.state = Some(WindowState::seed_serial(
-            Arc::clone(&self.tail),
+            &*self.tail,
             rib,
             &self.config,
             &self.arena,
@@ -538,18 +548,52 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, IngestError::Aborted("injected".to_string()));
         assert_eq!(epoch.tail_date(), month(1));
+        assert_eq!(**epoch.tail_snapshot(), *s1);
         assert_results_equal(epoch.results(), &committed);
 
         // Panic inside the hook: rolled back, typed error.
         let err = epoch.ingest(&delta, || panic!("chaos")).unwrap_err();
         assert_eq!(err, IngestError::Panicked("chaos".to_string()));
         assert_eq!(epoch.tail_date(), month(1));
+        assert_eq!(**epoch.tail_snapshot(), *s1);
         assert_results_equal(epoch.results(), &committed);
 
         // The same delta still applies cleanly afterwards, and the
         // result equals the batch recompute (rollback left no residue).
         let index = epoch.ingest(&delta, || Ok(())).unwrap();
         assert_eq!(index.months(), &[month(1), month(2)]);
-        assert_results_equal(epoch.results(), &recompute(&[s1, s2]));
+        let committed = recompute(&[Arc::clone(&s1), Arc::clone(&s2)]);
+        assert_results_equal(epoch.results(), &committed);
+
+        // A retarget of the tail month rolls back the same way: the
+        // in-place patch of month 2 is reverted, whether the tail is
+        // shared with another holder (copy-on-write) or not.
+        let s2b = snap(
+            month(2),
+            &[
+                (1, "198.51.1.1", "2600:2::1"),
+                (2, "203.0.1.2", "2600:1::2"),
+                (3, "203.0.1.3", "2600:1::3"),
+            ],
+        );
+        let retarget = SnapshotDelta::diff(&s2, &s2b);
+        let pinned = Arc::clone(epoch.tail_snapshot());
+        let err = epoch
+            .ingest(&retarget, || Err("injected".to_string()))
+            .unwrap_err();
+        assert_eq!(err, IngestError::Aborted("injected".to_string()));
+        assert_eq!(**epoch.tail_snapshot(), *s2);
+        assert_eq!(*pinned, *s2, "a pinned tail is never patched");
+        drop(pinned);
+        let err = epoch.ingest(&retarget, || panic!("chaos")).unwrap_err();
+        assert_eq!(err, IngestError::Panicked("chaos".to_string()));
+        assert_eq!(epoch.tail_date(), month(2));
+        assert_eq!(**epoch.tail_snapshot(), *s2);
+        assert_results_equal(epoch.results(), &committed);
+
+        let index = epoch.ingest(&retarget, || Ok(())).unwrap();
+        assert_eq!(index.months(), &[month(1), month(2)]);
+        assert_eq!(**epoch.tail_snapshot(), *s2b);
+        assert_results_equal(epoch.results(), &recompute(&[s1, s2b]));
     }
 }

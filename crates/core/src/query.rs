@@ -18,8 +18,9 @@
 //! * **History queries** (`pair P4 P6 from..to`) chain point lookups over
 //!   the month range.
 //! * **Stats queries** reuse the month-over-month change accounting the
-//!   batch table prints, precomputed at publish time by the same
-//!   [`PairLedger`] walk.
+//!   batch table prints, precomputed at publish time by one merge walk of
+//!   the month's sorted pair vector against the previous month's (the
+//!   counts [`crate::longitudinal::compare`] gives).
 //!
 //! The index is **immutable after publish** ([`WindowQueryIndex::publish`]
 //! hands out an `Arc`), so any number of reader threads answer queries
@@ -29,6 +30,17 @@
 //! ranking is a pure function of (similarity, partner prefix) with exact
 //! rational comparison, so answers are bit-identical to recomputing the
 //! window and filtering/sorting its output (property-tested below).
+//!
+//! **Structural sharing.** Each month's read structures sit behind their
+//! own `Arc`, and a month's postings depend only on its own set and, for
+//! the change counts, the set of the month before. So the next epoch of
+//! a live window ([`crate::EpochState`]) is a `successor` of the last: a
+//! retarget of the tail month rebuilds that one month, an append builds
+//! one new month, and every other month is the predecessor's `Arc`,
+//! shared rather than rebuilt. [`WindowQueryIndex::build`] is a fold over
+//! the same per-month step, so a shared month and a freshly built one
+//! cannot differ (property-tested below, with `Arc::ptr_eq` on every
+//! untouched month).
 
 use std::fmt;
 use std::sync::{Arc, RwLock};
@@ -36,7 +48,6 @@ use std::sync::{Arc, RwLock};
 use sibling_net_types::{AnyPrefix, Ipv4Prefix, Ipv6Prefix, MonthDate};
 
 use crate::engine::BatchRun;
-use crate::longitudinal::PairLedger;
 use crate::pipeline::{SiblingPair, SiblingSet};
 
 /// Why a window could not be pivoted into a [`WindowQueryIndex`].
@@ -171,8 +182,28 @@ struct MonthPostings {
     v6: PostingTable<Ipv6Prefix>,
 }
 
+/// `(new, unchanged, changed)` of `current` against `prev`: one merge
+/// walk of the two `(v4, v6)`-sorted pair vectors, counting exactly the
+/// categories [`crate::longitudinal::compare`] reports.
+fn change_counts(prev: &SiblingSet, current: &SiblingSet) -> (usize, usize, usize) {
+    let (mut new, mut unchanged, mut changed) = (0, 0, 0);
+    let mut old = prev.iter().peekable();
+    for pair in current.iter() {
+        let key = (pair.v4, pair.v6);
+        while old.next_if(|p| (p.v4, p.v6) < key).is_some() {}
+        match old.next_if(|p| (p.v4, p.v6) == key) {
+            None => new += 1,
+            Some(p) if p.similarity.cmp(&pair.similarity).is_eq() => unchanged += 1,
+            Some(_) => changed += 1,
+        }
+    }
+    (new, unchanged, changed)
+}
+
 impl MonthPostings {
-    fn build(date: MonthDate, set: SiblingSet, ledger: &mut PairLedger, first: bool) -> Self {
+    /// Pivots one month. `prev` is the set of the month before it in the
+    /// window (`None` for the first month), the only other input.
+    fn build(date: MonthDate, set: SiblingSet, prev: Option<&SiblingSet>) -> Self {
         let pairs = set.as_slice();
         let mut v4_rows: Vec<(Ipv4Prefix, u32)> = Vec::with_capacity(pairs.len());
         let mut v6_rows: Vec<(Ipv6Prefix, u32)> = Vec::with_capacity(pairs.len());
@@ -191,20 +222,13 @@ impl MonthPostings {
             let (a, b) = (&pairs[a as usize], &pairs[b as usize]);
             b.similarity.cmp(&a.similarity).then(a.v4.cmp(&b.v4))
         });
-        let delta = ledger.advance(&set);
-        let delta = if first {
-            None
-        } else {
-            let (new, unchanged, changed, _) = delta.counts();
-            Some((new, unchanged, changed))
-        };
         let stats = MonthStats {
             date,
             pairs: set.len(),
             v4_prefixes: v4.keys.len(),
             v6_prefixes: v6.keys.len(),
             perfect_share: set.perfect_match_share(),
-            delta,
+            delta: prev.map(|prev| change_counts(prev, &set)),
         };
         Self { set, stats, v4, v6 }
     }
@@ -251,7 +275,9 @@ impl<'a> MonthView<'a> {
 #[derive(Debug)]
 pub struct WindowQueryIndex {
     months: Vec<MonthDate>,
-    monthly: Vec<MonthPostings>,
+    /// One `Arc` per month, shared with every epoch that left the month
+    /// untouched (module docs).
+    monthly: Vec<Arc<MonthPostings>>,
 }
 
 impl WindowQueryIndex {
@@ -265,14 +291,50 @@ impl WindowQueryIndex {
         if results.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err(QueryIndexError::UnsortedWindow);
         }
-        let mut ledger = PairLedger::new();
-        let months: Vec<MonthDate> = results.iter().map(|(d, _)| *d).collect();
-        let monthly = results
-            .iter()
-            .enumerate()
-            .map(|(i, (date, set))| MonthPostings::build(*date, set.clone(), &mut ledger, i == 0))
-            .collect();
-        Ok(Self { months, monthly })
+        let mut index = Self {
+            months: Vec::with_capacity(results.len()),
+            monthly: Vec::with_capacity(results.len()),
+        };
+        for (date, set) in results {
+            index.push_month(*date, set.clone());
+        }
+        Ok(index)
+    }
+
+    /// The next epoch's index: `self` with `set` as the month `date`. A
+    /// `date` equal to the last month replaces it (an intra-month
+    /// retarget); a later `date` appends it. Either way exactly one month
+    /// is built, and every other month is shared with `self` (module
+    /// docs). The result equals [`WindowQueryIndex::build`] over the
+    /// same per-month sets.
+    pub(crate) fn successor(
+        &self,
+        date: MonthDate,
+        set: SiblingSet,
+    ) -> Result<Self, QueryIndexError> {
+        let mut next = Self {
+            months: self.months.clone(),
+            monthly: self.monthly.clone(),
+        };
+        match date.cmp(&self.bounds().1) {
+            std::cmp::Ordering::Less => return Err(QueryIndexError::UnsortedWindow),
+            std::cmp::Ordering::Equal => {
+                next.months.pop();
+                next.monthly.pop();
+            }
+            std::cmp::Ordering::Greater => {}
+        }
+        next.push_month(date, set);
+        Ok(next)
+    }
+
+    /// The one way a month enters an index: pivot it against the
+    /// current last month and append it.
+    fn push_month(&mut self, date: MonthDate, set: SiblingSet) {
+        let prev = self.monthly.last().map(|m| &m.set);
+        let postings = MonthPostings::build(date, set, prev);
+        self.months.push(date);
+        self.monthly.push(Arc::new(postings));
     }
 
     /// [`WindowQueryIndex::build`] + `Arc` publication — what a server
@@ -593,6 +655,138 @@ mod tests {
         let fresh = published.pin();
         assert_eq!(fresh.epoch(), 2);
         assert_eq!(fresh.index().months(), &[month(1), month(3)]);
+    }
+
+    /// Every query family's answers from `got` and `want`, which must
+    /// serve the same months: point and history over a small prefix id
+    /// space, partners of every prefix in both families, and the stats
+    /// rows.
+    fn assert_same_answers(got: &WindowQueryIndex, want: &WindowQueryIndex) {
+        assert_eq!(got.months(), want.months());
+        let key = |p: &SiblingPair| (p.v4, p.v6, p.similarity, p.shared_domains);
+        let v4s: Vec<Ipv4Prefix> = (0..5)
+            .map(|a| format!("10.0.{a}.0/24").parse().unwrap())
+            .collect();
+        let v6s: Vec<Ipv6Prefix> = (0..5)
+            .map(|b| format!("2600:{}::/48", b + 1).parse().unwrap())
+            .collect();
+        for &date in want.months() {
+            let (g, w) = (got.month(date).unwrap(), want.month(date).unwrap());
+            for v4 in &v4s {
+                for v6 in &v6s {
+                    assert_eq!(g.point(v4, v6).map(key), w.point(v4, v6).map(key));
+                }
+            }
+            let prefixes = v4s
+                .iter()
+                .map(|p| AnyPrefix::V4(*p))
+                .chain(v6s.iter().map(|p| AnyPrefix::V6(*p)));
+            for prefix in prefixes {
+                for k in [0usize, 1, 3] {
+                    let g: Vec<_> = g.partners(&prefix, k).map(key).collect();
+                    let w: Vec<_> = w.partners(&prefix, k).map(key).collect();
+                    assert_eq!(g, w);
+                }
+            }
+        }
+        let (lo, hi) = want.bounds();
+        for v4 in &v4s {
+            for v6 in &v6s {
+                let g: Vec<_> = got
+                    .history(v4, v6, lo, hi)
+                    .map(|(d, p)| (d, key(p)))
+                    .collect();
+                let w: Vec<_> = want
+                    .history(v4, v6, lo, hi)
+                    .map(|(d, p)| (d, key(p)))
+                    .collect();
+                assert_eq!(g, w);
+            }
+        }
+        let rows = |index: &WindowQueryIndex| -> Vec<String> {
+            index.stats().map(|s| s.batch_row()).collect()
+        };
+        assert_eq!(rows(got), rows(want));
+        assert_eq!(got.total_pairs(), want.total_pairs());
+    }
+
+    #[test]
+    fn successor_replaces_or_appends_the_tail_month() {
+        let index = two_month_fixture();
+        let set = SiblingSet::from_pairs(vec![pair("10.0.3.0/24", "2600:4::/48", 1, 1)]);
+        let retarget = index.successor(month(2), set.clone()).unwrap();
+        assert_eq!(retarget.months(), &[month(1), month(2)]);
+        assert_eq!(retarget.month(month(2)).unwrap().stats().pairs, 1);
+        let append = index.successor(month(4), set.clone()).unwrap();
+        assert_eq!(append.months(), &[month(1), month(2), month(4)]);
+        assert_eq!(
+            index.successor(month(1), set).unwrap_err(),
+            QueryIndexError::UnsortedWindow
+        );
+        // The receiver is untouched.
+        assert_eq!(index.months(), &[month(1), month(2)]);
+        assert_eq!(index.month(month(2)).unwrap().stats().pairs, 3);
+    }
+
+    /// Property: a random sequence of appends and tail retargets run
+    /// through [`WindowQueryIndex::successor`] answers every query
+    /// family exactly like [`WindowQueryIndex::build`] over the final
+    /// per-month sets, and each step shares every month it did not
+    /// touch with its predecessor (`Arc::ptr_eq`) — the structural form
+    /// of "an ingest costs its churn, not the window".
+    #[test]
+    fn prop_successor_shares_untouched_months_and_equals_build() {
+        use proptest::test_runner::TestRunner;
+        let mut runner = TestRunner::default();
+        let month_rows = || proptest::collection::vec((0u32..5, 0u32..5, 1u64..5), 0..12);
+        // Each step: (append?, the new tail month's rows).
+        let strategy = (
+            month_rows(),
+            proptest::collection::vec((proptest::any::<bool>(), month_rows()), 0..8),
+        );
+        let to_set = |rows: &Vec<(u32, u32, u64)>| {
+            SiblingSet::from_pairs(
+                rows.iter()
+                    .map(|(a, b, num)| {
+                        pair(
+                            &format!("10.0.{a}.0/24"),
+                            &format!("2600:{}::/48", b + 1),
+                            *num,
+                            4,
+                        )
+                    })
+                    .collect(),
+            )
+        };
+        runner
+            .run(&strategy, |(seed_rows, steps)| {
+                let mut sets = vec![(month(1), to_set(&seed_rows))];
+                let mut index = WindowQueryIndex::build(&sets).unwrap();
+                for (append, rows) in &steps {
+                    let tail = sets.last().unwrap().0;
+                    let date = if *append { tail.add_months(1) } else { tail };
+                    let set = to_set(rows);
+                    let next = index.successor(date, set.clone()).unwrap();
+                    if *append {
+                        sets.push((date, set));
+                    } else {
+                        *sets.last_mut().unwrap() = (date, set);
+                    }
+                    // Every month before the tail is the predecessor's.
+                    let untouched = sets.len() - 1;
+                    assert_eq!(next.monthly.len(), sets.len());
+                    for (old, new) in index.monthly[..untouched]
+                        .iter()
+                        .zip(&next.monthly[..untouched])
+                    {
+                        assert!(Arc::ptr_eq(old, new), "untouched month rebuilt");
+                    }
+                    assert_same_answers(&next, &WindowQueryIndex::build(&sets).unwrap());
+                    index = next;
+                }
+                Ok(())
+            })
+            .unwrap();
     }
 
     /// Property: every query family answers bit-identically to a

@@ -190,18 +190,57 @@ impl SnapshotDelta {
     /// addresses and removed domains are deleted. The result carries the
     /// delta's target date. `apply(diff(a, b), a) == b` exactly.
     pub fn apply(&self, base: &DnsSnapshot) -> DnsSnapshot {
-        debug_assert_eq!(base.date(), self.from, "delta applied to its base");
         let mut out = base.clone();
-        out.set_date(self.to);
+        self.apply_in_place(&mut out);
+        out
+    }
+
+    /// [`SnapshotDelta::apply`] without the copy: patches `base` into
+    /// the target in place, touching only the changed domains. The
+    /// live tail takes this path so an ingest costs its churn, not the
+    /// snapshot's size.
+    pub fn apply_in_place(&self, base: &mut DnsSnapshot) {
+        debug_assert_eq!(base.date(), self.from, "delta applied to its base");
+        base.set_date(self.to);
         for change in &self.changes {
             match &change.new {
-                Some(addrs) => out.insert(change.domain, addrs.clone()),
+                Some(addrs) => base.insert(change.domain, addrs.clone()),
                 None => {
-                    out.remove(change.domain);
+                    base.remove(change.domain);
                 }
             }
         }
-        out
+    }
+
+    /// Undoes [`SnapshotDelta::apply_in_place`]: every changed domain
+    /// gets its `old` addresses back (or is removed again when it was
+    /// added) and the base date is restored. Exact whenever the delta's
+    /// `old` side is what its base held — true of every diffed delta,
+    /// and already required of any delta the incremental index patches.
+    pub fn revert_in_place(&self, target: &mut DnsSnapshot) {
+        debug_assert_eq!(target.date(), self.to, "delta reverted from its target");
+        target.set_date(self.from);
+        for change in &self.changes {
+            match &change.old {
+                Some(addrs) => target.insert(change.domain, addrs.clone()),
+                None => {
+                    target.remove(change.domain);
+                }
+            }
+        }
+    }
+
+    /// Whether `snapshot` already carries this delta's effect: its date
+    /// is the target date and every changed domain already resolves to
+    /// its `new` addresses (or is absent when removed). Exactly
+    /// `self.apply(snapshot) == *snapshot`, at the cost of one lookup per
+    /// change instead of a snapshot copy and a full comparison.
+    pub fn is_carried_by(&self, snapshot: &DnsSnapshot) -> bool {
+        snapshot.date() == self.to
+            && self
+                .changes
+                .iter()
+                .all(|c| snapshot.get(c.domain) == c.new.as_ref())
     }
 
     /// The base snapshot's date.
@@ -323,6 +362,90 @@ mod tests {
         let delta = SnapshotDelta::diff(&a, &b);
         assert!(delta.is_empty());
         assert_eq!(delta.apply(&a), b);
+    }
+
+    #[test]
+    fn in_place_apply_reverts_and_carried_check() {
+        let a = snap(
+            MonthDate::new(2024, 8),
+            &[(0, &[A4], &[A6]), (1, &[A4], &[]), (2, &[B4], &[A6])],
+        );
+        let b = snap(
+            MonthDate::new(2024, 9),
+            &[(0, &[A4], &[A6]), (2, &[A4], &[A6]), (3, &[B4], &[])],
+        );
+        let delta = SnapshotDelta::diff(&a, &b);
+        assert!(!delta.is_carried_by(&a));
+        let mut patched = a.clone();
+        delta.apply_in_place(&mut patched);
+        assert_eq!(patched, b);
+        assert!(delta.is_carried_by(&patched));
+        delta.revert_in_place(&mut patched);
+        assert_eq!(patched, a);
+    }
+
+    /// Property: the in-place pair agrees with the copying `apply` —
+    /// `apply_in_place` yields `apply`'s result, `revert_in_place`
+    /// restores the base bit for bit (date included), and
+    /// `is_carried_by(s)` is exactly `apply(s) == s` — over random
+    /// snapshot pairs spanning empty and full-turnover deltas, for
+    /// month moves and same-month retargets alike.
+    #[test]
+    fn prop_in_place_apply_matches_apply() {
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRunner;
+        let mut runner = TestRunner::default();
+        let entry = || (0u32..12, 0u8..3, 0u8..3);
+        let strategy = (
+            proptest::collection::vec(entry(), 0..24),
+            proptest::collection::vec(entry(), 0..24),
+            // Full turnover: the target's ids are shifted out of the
+            // base's id space entirely.
+            any::<bool>(),
+            // A same-month retarget instead of a month move.
+            any::<bool>(),
+        );
+        runner
+            .run(&strategy, |(ea, eb, disjoint, same_month)| {
+                let build = |date: MonthDate, entries: &[(u32, u8, u8)], shift: u32| {
+                    let mut s = DnsSnapshot::new(date);
+                    for (id, v4, v6) in entries {
+                        let id = id + shift;
+                        let v4: Vec<u32> = (0..*v4).map(|k| A4 + id + k as u32).collect();
+                        let v6: Vec<u128> = (0..*v6).map(|k| A6 + id as u128 + k as u128).collect();
+                        s.merge(d(id), v4, v6);
+                    }
+                    s
+                };
+                let from = MonthDate::new(2024, 8);
+                let to = if same_month {
+                    from
+                } else {
+                    MonthDate::new(2024, 9)
+                };
+                let a = build(from, &ea, 0);
+                let b = build(to, &eb, if disjoint { 100 } else { 0 });
+                for (base, target) in [(&a, &b), (&a, &a.redated(to))] {
+                    let delta = SnapshotDelta::diff(base, target);
+                    let mut patched = base.clone();
+                    delta.apply_in_place(&mut patched);
+                    prop_assert_eq!(&patched, &delta.apply(base));
+                    prop_assert_eq!(&patched, target);
+                    // The carried check against its own result — a
+                    // re-sent delta — and against the base it has not
+                    // been applied to yet; `apply` needs its base date,
+                    // so the reference redates first.
+                    for s in [&patched, base] {
+                        let reference = delta.apply(&s.redated(from)) == *s;
+                        prop_assert_eq!(delta.is_carried_by(s), reference);
+                    }
+                    delta.revert_in_place(&mut patched);
+                    prop_assert_eq!(&patched, base);
+                    prop_assert_eq!(patched.date(), base.date());
+                }
+                Ok(())
+            })
+            .unwrap();
     }
 
     /// Property: `apply(diff(a, b), a) == b` across random snapshot

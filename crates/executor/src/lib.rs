@@ -842,16 +842,22 @@ mod tests {
         {
             let pool = ThreadPool::with_threads(2);
             let observed_stop = Arc::clone(&observed_stop);
-            let rounds = Arc::clone(&rounds);
+            let resident_rounds = Arc::clone(&rounds);
             pool.spawn_resident(move |ctx| {
                 while !ctx.stopping() {
-                    rounds.fetch_add(1, Ordering::SeqCst);
+                    resident_rounds.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
                 observed_stop.store(true, Ordering::SeqCst);
             });
             // Queue work coexists with the resident loop.
             assert_eq!(pool.map(&[1u32, 2], |_, x| x * 2), vec![2, 4]);
+            // The resident thread may not have been scheduled yet; the
+            // pool must not drop before it has run a round, or the stop
+            // signal would be its first sight of the flag.
+            while rounds.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
         }
         // Drop returned, so the resident was joined — after seeing stop.
         assert!(observed_stop.load(Ordering::SeqCst));

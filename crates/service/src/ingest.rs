@@ -229,13 +229,11 @@ impl<R: RibSource + Clone> LiveWindow<R> {
         if delta.to_date() < tail || (delta.to_date() == tail && delta.from_date() < tail) {
             return true;
         }
-        if delta.to_date() == tail && delta.from_date() == tail {
-            // A tail retarget: already carried exactly when re-applying
-            // it changes nothing.
-            let snapshot = self.epoch.tail_snapshot();
-            return delta.apply(snapshot) == **snapshot;
-        }
-        false
+        // A tail retarget: already carried exactly when re-applying it
+        // would change nothing, checked per changed domain.
+        delta.to_date() == tail
+            && delta.from_date() == tail
+            && delta.is_carried_by(self.epoch.tail_snapshot())
     }
 
     /// Applies one replication-feed delta through the full durable
@@ -267,8 +265,12 @@ impl<R: RibSource + Clone> LiveWindow<R> {
         delta: &SnapshotDelta,
         reset_on_compact: bool,
     ) -> Result<(Arc<WindowQueryIndex>, bool), String> {
-        let old_tail: Arc<DnsSnapshot> = Arc::clone(self.epoch.tail_snapshot());
-        let appended = delta.to_date() > old_tail.date();
+        let appended = delta.to_date() > self.epoch.tail_date();
+        // Compaction writes the old tail month out after an append, so
+        // only an append keeps a handle on it (and the epoch's in-place
+        // patch copies it); a retarget patches the tail without a copy.
+        let old_tail: Option<Arc<DnsSnapshot>> =
+            appended.then(|| Arc::clone(self.epoch.tail_snapshot()));
         let index = self
             .epoch
             .ingest(delta, || {
@@ -281,7 +283,7 @@ impl<R: RibSource + Clone> LiveWindow<R> {
             })
             .map_err(|e| e.to_string())?;
         let mut compacted = false;
-        if appended {
+        if let Some(old_tail) = old_tail {
             if let Some(store) = &self.store {
                 // Compaction failure is not an ingest failure: the
                 // journal still holds the deltas, so durability is
