@@ -36,6 +36,7 @@ use sibling_core::longitudinal::PairLedger;
 use sibling_core::query::{MonthStats, WindowQueryIndex};
 use sibling_core::tuner::more_specific::tune_more_specific;
 use sibling_core::{BatchRun, DetectEngine, EngineConfig, EpochState, SpTunerConfig};
+use sibling_dns::durable::{self, Sites};
 use sibling_dns::{DnsSnapshot, LoadMode, SnapshotDelta, SnapshotFile, SnapshotStore, StoreError};
 use sibling_executor::ThreadPool;
 use sibling_net_types::MonthDate;
@@ -307,6 +308,16 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Failpoint sites of `publish --out`'s atomic write.
+const PUBLISH_SITES: Sites = Sites {
+    write: "publish::write",
+    sync: "publish::sync",
+    rename: "publish::rename",
+    sync_dir: "publish::sync-dir",
+};
+
+/// `publish`: the tuned sibling list as CSV, written atomically through
+/// [`durable::replace`] so a crash never leaves a torn list at `--out`.
 fn cmd_publish(args: &Args) -> Result<(), String> {
     let ctx = context(args)?;
     let out = args.get("out").unwrap_or("sibling-prefixes.csv");
@@ -322,7 +333,9 @@ fn cmd_publish(args: &Args) -> Result<(), String> {
             pair.shared_domains
         ));
     }
-    std::fs::write(out, csv).map_err(|e| format!("writing {out}: {e}"))?;
+    durable::replace(Path::new(out), csv.as_bytes(), &PUBLISH_SITES)
+        .and_then(|replaced| replaced.dir_synced)
+        .map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote {} pairs to {out}", pairs.len());
     Ok(())
 }
@@ -799,16 +812,27 @@ fn cmd_serve_live(
         }
     }
     let window = from.range_to(to);
+    // Stored months heal like `batch`: a corrupt one is quarantined and
+    // rewritten from the world generated above.
+    let mut stored = match &store {
+        Some(store) => {
+            let months: Vec<MonthDate> = window
+                .iter()
+                .copied()
+                .filter(|&date| store.contains(date))
+                .collect();
+            let never = || unreachable!("the world is prebuilt");
+            load_snapshots_healing(store, &months, mode, Some(&world), &never)?.0
+        }
+        None => Default::default(),
+    };
     let mut snaps = std::collections::BTreeMap::new();
     for &date in &window {
-        let snap = match &store {
-            Some(store) if store.contains(date) => {
-                let file = store.load_with(date, mode).map_err(|e| e.to_string())?;
-                std::sync::Arc::new(DnsSnapshot::materialize(&*file))
-            }
-            _ => std::sync::Arc::new(world.snapshot(date)),
+        let snap = match stored.remove(&date) {
+            Some(file) => DnsSnapshot::materialize(&*file),
+            None => world.snapshot(date),
         };
-        snaps.insert(date, snap);
+        snaps.insert(date, std::sync::Arc::new(snap));
     }
     let engine_config = args.engine_config()?;
     let score = Instant::now();

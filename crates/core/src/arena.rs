@@ -119,7 +119,7 @@ const FREE_LIST_CAP: usize = 64;
 
 /// Identity of an interned domain set. Two handles carry the same id iff
 /// they denote exactly the same set contents. The id packs the interior
-/// shard (low [`SHARD_BITS`] bits) and the slot within it.
+/// shard (low `SHARD_BITS` bits) and the slot within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SetId(u32);
 
@@ -233,7 +233,7 @@ impl Shard {
 /// detect sets no longer referenced by any outside handle (the arena
 /// itself holds exactly two references per live set — the table slot and
 /// the map key) and return their slots to a per-shard free list, capped
-/// by [`FREE_LIST_CAP`] with tail compaction.
+/// by `FREE_LIST_CAP` with tail compaction.
 pub struct SetArena {
     shards: Vec<WaitLock<Shard>>,
     /// Sets released while an in-flight scoring view (or another thread)

@@ -49,7 +49,7 @@
 //!
 //! * **Shared immutable core** — the scoring-relevant maps (per-prefix
 //!   group sets, per-domain prefix lists) live behind `Arc`s inside the
-//!   index; each month's tasks capture a [`ScoreView`] (two `Arc`
+//!   index; each month's tasks capture a `ScoreView` (two `Arc`
 //!   clones). Patching the next month goes through `Arc::make_mut`:
 //!   copy-on-write *only if* an older month's view is still in flight,
 //!   free when scoring has already drained (serial runs never copy).

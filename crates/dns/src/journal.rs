@@ -33,10 +33,10 @@
 //! [`IngestJournal::next_seq`] is stable across both restarts and
 //! compactions. The serving layer derives its published epoch from it
 //! (`epoch = 1 + seq`), which is what makes a replication feed cursor
-//! exact across primary crashes. `reset` advances `base seq` by writing
-//! a fresh header to a temp file and renaming it over the journal —
-//! the same atomic-publish discipline as the snapshot store — so the
-//! header itself can never be torn by a crashed compaction.
+//! exact across primary crashes. `reset` advances `base seq` by
+//! publishing a fresh header through [`crate::durable::replace`] — the
+//! same atomic temp-file-and-rename path as both stores — so the header
+//! itself can never be torn by a crashed compaction.
 //!
 //! # Durability and torn tails
 //!
@@ -48,35 +48,44 @@
 //! boundary there is no trustworthy framing), and truncates the file
 //! back to the last good record, reporting how many bytes were dropped.
 //! Torn tails are an expected crash artifact, never a panic; genuinely
-//! foreign or version-mismatched files are rejected with the same typed
-//! [`StoreError`]s the snapshot store uses.
+//! foreign or version-mismatched files are rejected by the shared
+//! [`crate::durable::check_prelude`] with the same typed [`StoreError`]s
+//! both stores use.
 //!
 //! Failpoint sites (`--features failpoints`): `journal::append` (torn
 //! or failed record writes), `journal::sync` (failed fsync — the
 //! not-yet-durable record is chopped back off), `journal::replay`
-//! (short reads at recovery).
+//! (short reads at recovery), and `journal-reset::{write,sync,rename,
+//! sync-dir}` (the [`crate::durable::replace`] that publishes a fresh
+//! header, at a compaction reset or when a new journal is created).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::delta::{DomainChange, SnapshotDelta};
+use crate::durable::{self, Sites, StoreError};
 use crate::name::DomainId;
 use crate::snapshot::ResolvedAddrs;
-use crate::store::{sync_dir, StoreError};
-use crate::wire::{self, put_u32, put_u64, read_u32, read_u64, ENDIAN_TAG};
+use crate::wire::{self, put_u32, put_u64, read_u32, read_u64};
 
 const MAGIC: [u8; 8] = *b"SIBJRNL\0";
 const VERSION: u32 = 2;
 const HEADER_LEN: usize = 24;
 /// Record framing: length (u32) + payload checksum (u64).
 const RECORD_HEADER: usize = 12;
+/// Failpoint sites of [`IngestJournal::reset`] — their own family, so a
+/// reset never fires the append path's `journal::sync`.
+const RESET_SITES: Sites = Sites {
+    write: "journal-reset::write",
+    sync: "journal-reset::sync",
+    rename: "journal-reset::rename",
+    sync_dir: "journal-reset::sync-dir",
+};
 
 fn header_bytes(base_seq: u64) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
-    header[..8].copy_from_slice(&MAGIC);
-    put_u32(&mut header, 8, VERSION);
-    put_u32(&mut header, 12, ENDIAN_TAG);
+    durable::put_prelude(&mut header, &MAGIC, VERSION);
     put_u64(&mut header, 16, base_seq);
     header
 }
@@ -229,8 +238,8 @@ pub struct IngestJournal {
 impl IngestJournal {
     /// Opens (or creates) the journal at `path` and replays it.
     ///
-    /// A missing file is created with a fresh header (file then
-    /// directory fsync'd). A torn tail is truncated away and reported.
+    /// A missing file is created with a fresh header, published like a
+    /// reset's. A torn tail is truncated away and reported.
     /// A file that is not a journal — wrong magic, foreign endianness,
     /// unsupported version — is a typed error; the caller decides
     /// whether to quarantine.
@@ -238,7 +247,10 @@ impl IngestJournal {
         // A compaction reset that crashed between writing its temp
         // header and the rename leaves only this residue; the journal
         // itself is still the pre-reset file.
-        std::fs::remove_file(reset_tmp(path)).ok();
+        let name = path.file_name().and_then(|name| name.to_str());
+        durable::sweep(path.parent().unwrap_or(Path::new("")), |orphan| {
+            Some(orphan) == name
+        })?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -256,42 +268,19 @@ impl IngestJournal {
 
         if bytes.len() < HEADER_LEN {
             // Empty (fresh create) or a crash mid-header-write. Neither
-            // can hold records, so rewriting the header loses nothing —
-            // but only if the fragment is actually ours. Fresh headers
-            // are always written with base sequence 0; nonzero bases
-            // only ever land via the atomic reset rename, whole.
+            // can hold records, so publishing a fresh header loses
+            // nothing — but only if the fragment is actually ours. Fresh
+            // headers are always written with base sequence 0; nonzero
+            // bases only ever land via the atomic reset rename, whole.
             if !header_bytes(0).starts_with(&bytes) {
                 return Err(StoreError::BadMagic);
             }
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&header_bytes(0))?;
-            file.sync_all()?;
-            if let Some(dir) = path.parent() {
-                sync_dir(dir)?;
-            }
-            return Ok((
-                Self {
-                    path: path.to_path_buf(),
-                    file,
-                    end: HEADER_LEN as u64,
-                    base_seq: 0,
-                    records: 0,
-                    poisoned: false,
-                },
-                ReplayReport::default(),
-            ));
+            let fresh = durable::replace(path, &header_bytes(0), &RESET_SITES)?;
+            fresh.dir_synced?;
+            file = fresh.file;
+            bytes = header_bytes(0).to_vec();
         }
-        if bytes[..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        if read_u32(&bytes, 12) != ENDIAN_TAG {
-            return Err(StoreError::BadEndian);
-        }
-        let version = read_u32(&bytes, 8);
-        if version != VERSION {
-            return Err(StoreError::BadVersion(version));
-        }
+        durable::check_prelude(&bytes, &MAGIC, VERSION, HEADER_LEN)?;
 
         let mut report = ReplayReport {
             base_seq: read_u64(&bytes, 16),
@@ -406,20 +395,7 @@ impl IngestJournal {
 
     fn write_record(&mut self, record: &[u8]) -> Result<(), StoreError> {
         self.file.seek(SeekFrom::Start(self.end))?;
-        match sibling_failpoint::io_point("journal::append") {
-            Ok(None) => self.file.write_all(record)?,
-            Ok(Some(n)) => {
-                // Torn-write injection: the first N bytes land durably,
-                // then the write "crashes".
-                self.file.write_all(&record[..n.min(record.len())])?;
-                self.file.sync_all()?;
-                return Err(sibling_failpoint::injected("journal::append").into());
-            }
-            Err(e) => return Err(e.into()),
-        }
-        sibling_failpoint::io_point("journal::sync")?;
-        self.file.sync_all()?;
-        Ok(())
+        durable::write_synced(&mut self.file, record, "journal::append", "journal::sync")
     }
 
     /// Drops every record (after a compaction has persisted their
@@ -427,41 +403,22 @@ impl IngestJournal {
     /// whose base sequence has advanced past the dropped records, so
     /// [`IngestJournal::last_seq`] is unchanged.
     ///
-    /// The new header is published atomically — written to a temp file,
-    /// fsync'd, renamed over the journal — because truncating and
+    /// The new header is published atomically ([`durable::replace`]):
     /// rewriting in place could tear the base sequence and silently
-    /// rewind the epoch count on the next recovery.
+    /// rewind the epoch count on the next recovery. Once the rename has
+    /// landed the journal adopts the new file even if the directory
+    /// fsync then fails (that error is still returned): appending to the
+    /// old, unlinked file would lose every delta acknowledged after it.
     pub fn reset(&mut self) -> Result<(), StoreError> {
-        let tmp = reset_tmp(&self.path);
-        let mut fresh = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        fresh.write_all(&header_bytes(self.base_seq + self.records))?;
-        fresh.sync_all()?;
-        if let Err(err) = std::fs::rename(&tmp, &self.path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(err.into());
-        }
-        if let Some(dir) = self.path.parent() {
-            sync_dir(dir)?;
-        }
-        self.file = fresh;
+        let base_seq = self.base_seq + self.records;
+        let replaced = durable::replace(&self.path, &header_bytes(base_seq), &RESET_SITES)?;
+        self.file = replaced.file;
         self.end = HEADER_LEN as u64;
-        self.base_seq += self.records;
+        self.base_seq = base_seq;
         self.records = 0;
         self.poisoned = false;
-        Ok(())
+        replaced.dir_synced
     }
-}
-
-/// Temp path a compaction reset publishes its fresh header through.
-fn reset_tmp(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".reset-tmp");
-    path.with_file_name(name)
 }
 
 #[cfg(test)]
@@ -469,6 +426,7 @@ mod tests {
     use super::*;
     use crate::snapshot::DnsSnapshot;
     use sibling_net_types::MonthDate;
+    use std::io::Write;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -648,8 +606,8 @@ mod tests {
         assert_eq!(report.deltas, deltas[1..]);
         assert_eq!(journal.record_count(), 1);
         assert_eq!(journal.last_seq(), 3);
-        // No reset-tmp residue is left behind.
-        assert!(!reset_tmp(&path).exists());
+        // No reset temp-file residue is left behind.
+        assert!(!durable::temp_path(&path).exists());
     }
 
     #[test]
@@ -662,6 +620,20 @@ mod tests {
             IngestJournal::open(&path).unwrap_err(),
             StoreError::BadVersion(9)
         ));
+    }
+
+    #[test]
+    fn header_errors_do_not_call_the_journal_a_snapshot() {
+        let path = scratch("wording");
+        std::fs::write(&path, b"definitely not a journal, much longer").unwrap();
+        let bad_magic = IngestJournal::open(&path).unwrap_err().to_string();
+        let mut header = header_bytes(0);
+        put_u32(&mut header, 8, 9);
+        std::fs::write(&path, header).unwrap();
+        let bad_version = IngestJournal::open(&path).unwrap_err().to_string();
+        for message in [bad_magic, bad_version] {
+            assert!(!message.contains("snapshot"), "{message}");
+        }
     }
 
     /// Satellite coverage for replay accounting: truncate a journal of

@@ -24,6 +24,9 @@
 //!   format written once and mapped back in milliseconds (vendored
 //!   `mmap` wrapper with a plain-read fallback), replacing per-process
 //!   regeneration for paper-scale longitudinal runs;
+//! * [`durable`] — the one crash-safety layer under the snapshot store,
+//!   the world store and the ingest journal: atomic replace, orphan
+//!   sweep, quarantine and the shared header checks, with [`StoreError`];
 //! * [`Toplist`] — the source lists (Alexa, Umbrella, Tranco, Radar, open
 //!   ccTLDs) with the availability windows that shape Fig. 1 (Tranco added
 //!   2022-09, Radar 2022-10, `.fr` 2022-08, Alexa removed 2023-05).
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod delta;
+pub mod durable;
 mod journal;
 mod name;
 mod record;
@@ -50,13 +54,12 @@ mod toplist;
 pub mod wire;
 
 pub use delta::{DomainChange, SnapshotDelta};
+pub use durable::{LoadMode, StoreError};
 pub use journal::{decode_delta, encode_delta, IngestJournal, ReplayReport};
 pub use name::{DomainId, DomainTable};
 pub use record::{DnsRecord, Zone};
 pub use resolve::{Resolution, ResolveError, Resolver, MAX_CNAME_CHAIN};
 pub use snapshot::{DnsSnapshot, ResolvedAddrs};
 pub use source::{AddrEntry, SnapshotSource};
-pub use store::{
-    encode_snapshot, sync_dir, LoadMode, SnapshotFile, SnapshotStore, SnapshotView, StoreError,
-};
+pub use store::{encode_snapshot, SnapshotFile, SnapshotStore, SnapshotView};
 pub use toplist::Toplist;

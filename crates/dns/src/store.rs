@@ -46,180 +46,37 @@
 //! panic and corrupt input is always a typed [`StoreError`], never UB
 //! (the property and corruption tests below pin this).
 //!
-//! Files are written to a temp name and `rename`d into place, so a
-//! concurrently-opening reader never maps a half-written file.
+//! This module keeps only the `SIBSNAP` encoding and its offsets: files
+//! are published atomically, swept, quarantined and header-checked by
+//! [`crate::durable`], so a reader never maps a half-written file.
 
-use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sibling_net_types::MonthDate;
 
+use crate::durable::{self, LoadMode, Sites, StoreError};
 use crate::name::DomainId;
 use crate::snapshot::{DnsSnapshot, ResolvedAddrs};
 use crate::source::{AddrEntry, SnapshotSource};
-use crate::wire::{self, put_u32, read_u32, read_u64, ENDIAN_TAG};
+use crate::wire::{self, put_u32, read_u32, read_u64};
 
 const MAGIC: [u8; 8] = *b"SIBSNAP\0";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 64;
-
-/// Why a snapshot file failed to write, load, or validate.
-#[derive(Debug)]
-pub enum StoreError {
-    /// An underlying filesystem error.
-    Io(io::Error),
-    /// The file does not start with the snapshot magic.
-    BadMagic,
-    /// The file's endianness tag does not match this host (the zero-copy
-    /// casts require native byte order).
-    BadEndian,
-    /// The file carries an unsupported format version.
-    BadVersion(u32),
-    /// The file is shorter than its header claims (or than a header).
-    Truncated {
-        /// Bytes the header (or the fixed header size) requires.
-        expected: u64,
-        /// Bytes actually present.
-        got: u64,
-    },
-    /// The file checksum (header + payload) does not match.
-    ChecksumMismatch,
-    /// A structural invariant does not hold (sections inconsistent with
-    /// counts, unsorted domain table, non-monotone offsets, …).
-    Corrupt(&'static str),
-    /// The requested month is not present in the store.
-    Missing(MonthDate),
-    /// A window run asked the store for months it does not hold — all of
-    /// them, listed, so one failed `batch --store` names every gap
-    /// instead of the first.
-    MissingMonths {
-        /// Every requested month absent from the store, ascending.
-        missing: Vec<MonthDate>,
-    },
-    /// The store was produced under a different worldgen configuration
-    /// than the one the run derives its remaining state from (mixing the
-    /// two would silently pair mismatched worlds).
-    BadFingerprint {
-        /// The fingerprint of the configuration this run uses.
-        expected: u64,
-        /// The fingerprint stamped into the store file.
-        found: u64,
-    },
-    /// A store file's embedded date disagrees with the month its file
-    /// name claims (e.g. a renamed or miscopied file).
-    DateMismatch {
-        /// The month the store was asked for.
-        expected: MonthDate,
-        /// The month the file actually carries.
-        found: MonthDate,
-    },
-    /// A corrupt store file was moved aside (renamed to `*.corrupt`) so
-    /// the caller may regenerate into a clean slot. Only raised by the
-    /// quarantining open paths ([`SnapshotStore::load_quarantining`] and
-    /// the world store's equivalent); the plain loaders keep returning
-    /// the underlying corruption error untouched.
-    Quarantined {
-        /// Where the corrupt file now lives.
-        path: PathBuf,
-        /// The corruption that condemned it.
-        reason: Box<StoreError>,
-    },
-}
-
-impl StoreError {
-    /// Whether this error condemns the file's bytes — the quarantine
-    /// predicate. Environmental errors (I/O, missing months) and
-    /// configuration mismatches ([`StoreError::BadFingerprint`] — the
-    /// file may be a perfectly good store for some *other* config) are
-    /// not corruption and must never trigger a rename.
-    pub fn is_corruption(&self) -> bool {
-        matches!(
-            self,
-            StoreError::BadMagic
-                | StoreError::BadEndian
-                | StoreError::BadVersion(_)
-                | StoreError::Truncated { .. }
-                | StoreError::ChecksumMismatch
-                | StoreError::Corrupt(_)
-                | StoreError::DateMismatch { .. }
-        )
-    }
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "store I/O error: {e}"),
-            StoreError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            StoreError::BadEndian => write!(f, "snapshot file written on a foreign-endian host"),
-            StoreError::BadVersion(v) => write!(f, "unsupported snapshot format version {v}"),
-            StoreError::Truncated { expected, got } => {
-                write!(
-                    f,
-                    "snapshot file truncated: {got} bytes, expected {expected}"
-                )
-            }
-            StoreError::ChecksumMismatch => write!(f, "snapshot file checksum mismatch"),
-            StoreError::Corrupt(what) => write!(f, "corrupt snapshot file: {what}"),
-            StoreError::Missing(date) => write!(f, "no stored snapshot for {date}"),
-            StoreError::MissingMonths { missing } => {
-                write!(f, "store is missing {} month(s):", missing.len())?;
-                for date in missing {
-                    write!(f, " {date}")?;
-                }
-                Ok(())
-            }
-            StoreError::BadFingerprint { expected, found } => {
-                write!(
-                    f,
-                    "store written under a different world config: \
-                     fingerprint {found:#018x}, expected {expected:#018x}"
-                )
-            }
-            StoreError::DateMismatch { expected, found } => {
-                write!(f, "stored snapshot carries {found}, expected {expected}")
-            }
-            StoreError::Quarantined { path, reason } => {
-                write!(
-                    f,
-                    "corrupt store file quarantined to {}: {reason}",
-                    path.display()
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<io::Error> for StoreError {
-    fn from(e: io::Error) -> Self {
-        StoreError::Io(e)
-    }
-}
-
-/// The file checksum: FNV-1a 64 over the header with the checksum field
-/// skipped, then the payload. Covering the header means a corrupted
-/// date/count/length field is caught as [`StoreError::ChecksumMismatch`],
-/// not silently attributed to the wrong month or shape.
-fn file_checksum(bytes: &[u8]) -> u64 {
-    wire::checksum_skipping(bytes, 40..48)
-}
-
-fn encode_date(date: MonthDate) -> u32 {
-    wire::encode_date(date)
-}
-
-fn decode_date(raw: u32) -> Result<MonthDate, StoreError> {
-    wire::decode_date(raw).ok_or(StoreError::Corrupt("date out of range"))
-}
-
-fn align16(offset: u64) -> u64 {
-    wire::align16(offset)
-}
+const LEN_AT: usize = 48;
+const CHECKSUM_RANGE: Range<usize> = 40..48;
+/// Failpoint sites of [`SnapshotStore::write`] and, for short reads,
+/// of [`SnapshotFile::open_with`].
+const SITES: Sites = Sites {
+    write: "snapshot-store::write",
+    sync: "snapshot-store::sync",
+    rename: "snapshot-store::rename",
+    sync_dir: "snapshot-store::sync-dir",
+};
+const OPEN_SITE: &str = "snapshot-store::open";
 
 /// Byte ranges of the five sections, derived purely from the header
 /// counts (the layout is canonical — nothing else is stored).
@@ -244,10 +101,10 @@ impl Layout {
         };
         let (domains_r, end) = section(HEADER_LEN as u64, domains.checked_mul(4)?)?;
         let offsets_len = domains.checked_add(1)?.checked_mul(4)?;
-        let (v4_off, end) = section(align16(end), offsets_len)?;
-        let (v6_off, end) = section(align16(end), offsets_len)?;
-        let (v4, end) = section(align16(end), v4_total.checked_mul(4)?)?;
-        let (v6, end) = section(align16(end), v6_total.checked_mul(16)?)?;
+        let (v4_off, end) = section(wire::align16(end), offsets_len)?;
+        let (v6_off, end) = section(wire::align16(end), offsets_len)?;
+        let (v4, end) = section(wire::align16(end), v4_total.checked_mul(4)?)?;
+        let (v6, end) = section(wire::align16(end), v6_total.checked_mul(16)?)?;
         Some(Layout {
             domains: domains_r,
             v4_off,
@@ -277,15 +134,11 @@ pub fn encode_snapshot<S: SnapshotSource + ?Sized>(src: &S) -> Result<Vec<u8>, S
         usize::try_from(layout.file_len).map_err(|_| StoreError::Corrupt("snapshot too large"))?;
 
     let mut buf = vec![0u8; file_len];
-    buf[0..8].copy_from_slice(&MAGIC);
-    buf[8..12].copy_from_slice(&VERSION.to_ne_bytes());
-    buf[12..16].copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
-    buf[16..20].copy_from_slice(&encode_date(src.snapshot_date()).to_ne_bytes());
+    durable::put_prelude(&mut buf, &MAGIC, VERSION);
+    buf[16..20].copy_from_slice(&wire::encode_date(src.snapshot_date()).to_ne_bytes());
     buf[20..24].copy_from_slice(&(n as u32).to_ne_bytes());
     buf[24..32].copy_from_slice(&v4_total.to_ne_bytes());
     buf[32..40].copy_from_slice(&v6_total.to_ne_bytes());
-    // checksum patched below
-    buf[48..56].copy_from_slice(&layout.file_len.to_ne_bytes());
 
     let mut prev_domain: Option<u32> = None;
     let mut v4_cursor = 0u32;
@@ -315,8 +168,7 @@ pub fn encode_snapshot<S: SnapshotSource + ?Sized>(src: &S) -> Result<Vec<u8>, S
     put_u32(&mut buf, layout.v4_off.start + n as usize * 4, v4_cursor);
     put_u32(&mut buf, layout.v6_off.start + n as usize * 4, v6_cursor);
 
-    let checksum = file_checksum(&buf);
-    buf[40..48].copy_from_slice(&checksum.to_ne_bytes());
+    durable::seal(&mut buf, LEN_AT, CHECKSUM_RANGE);
     Ok(buf)
 }
 
@@ -324,41 +176,17 @@ pub fn encode_snapshot<S: SnapshotSource + ?Sized>(src: &S) -> Result<Vec<u8>, S
 /// section layout. Every later view access relies only on invariants
 /// established here.
 fn validate(bytes: &[u8]) -> Result<(MonthDate, Layout), StoreError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(StoreError::Truncated {
-            expected: HEADER_LEN as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    if read_u32(bytes, 12) != ENDIAN_TAG {
-        return Err(StoreError::BadEndian);
-    }
-    let version = read_u32(bytes, 8);
-    if version != VERSION {
-        return Err(StoreError::BadVersion(version));
-    }
-    let date = decode_date(read_u32(bytes, 16))?;
+    durable::check_prelude(bytes, &MAGIC, VERSION, HEADER_LEN)?;
+    let date =
+        wire::decode_date(read_u32(bytes, 16)).ok_or(StoreError::Corrupt("date out of range"))?;
     let n = read_u32(bytes, 20) as u64;
     let v4_total = read_u64(bytes, 24);
     let v6_total = read_u64(bytes, 32);
-    let checksum = read_u64(bytes, 40);
-    let file_len = read_u64(bytes, 48);
-    if file_len != bytes.len() as u64 {
-        return Err(StoreError::Truncated {
-            expected: file_len,
-            got: bytes.len() as u64,
-        });
-    }
     let layout = Layout::compute(n, v4_total, v6_total)
         .ok_or(StoreError::Corrupt("header counts overflow"))?;
+    durable::check_sealed(bytes, LEN_AT, CHECKSUM_RANGE)?;
     if layout.file_len != bytes.len() as u64 {
         return Err(StoreError::Corrupt("sections disagree with file length"));
-    }
-    if file_checksum(bytes) != checksum {
-        return Err(StoreError::ChecksumMismatch);
     }
     // Structural invariants the view's accessors assume.
     let domains = section_u32s(bytes, &layout.domains)?;
@@ -500,40 +328,6 @@ impl SnapshotSource for SnapshotView<'_> {
     }
 }
 
-/// How [`SnapshotFile::open_with`] should back the bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadMode {
-    /// `mmap(2)` the file read-only (plain read on non-unix targets or
-    /// mapping failure) — the milliseconds path.
-    #[default]
-    Mmap,
-    /// Read into an aligned heap buffer (no mmap involved at all).
-    Read,
-}
-
-impl LoadMode {
-    /// Parses a user-facing mode name (`mmap` or `read`) — the one
-    /// selection helper the CLI's `--load-mode` flag and the bench
-    /// suite's `SIBLING_BENCH_LOAD_MODE` override share.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "mmap" => Ok(LoadMode::Mmap),
-            "read" => Ok(LoadMode::Read),
-            other => Err(format!(
-                "unknown load mode {other:?} (valid values: mmap, read)"
-            )),
-        }
-    }
-}
-
-impl std::str::FromStr for LoadMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        LoadMode::parse(s)
-    }
-}
-
 /// One loaded snapshot file: owns the mapping (or heap buffer) and the
 /// validated layout, and hands out [`SnapshotView`]s borrowing from it.
 ///
@@ -555,17 +349,8 @@ impl SnapshotFile {
 
     /// Opens and fully validates `path` with an explicit backing mode.
     pub fn open_with(path: &Path, mode: LoadMode) -> Result<Self, StoreError> {
-        let map = match mode {
-            LoadMode::Mmap => mapfile::MapFile::open(path)?,
-            LoadMode::Read => mapfile::MapFile::read(path)?,
-        };
-        // Failpoint: a short read surfaces as the same truncation error a
-        // really-truncated file would produce.
-        let visible = match sibling_failpoint::io_point("snapshot-store::open")? {
-            Some(n) => &map.bytes()[..n.min(map.len())],
-            None => map.bytes(),
-        };
-        let (date, layout) = validate(visible)?;
+        let map = durable::load(path, mode, OPEN_SITE)?;
+        let (date, layout) = validate(map.bytes())?;
         Ok(Self { map, date, layout })
     }
 
@@ -625,9 +410,8 @@ impl SnapshotStore {
     pub fn create(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let store = Self { dir };
-        store.sweep_orphans()?;
-        Ok(store)
+        durable::sweep(&dir, is_month_file)?;
+        Ok(Self { dir })
     }
 
     /// Opens an existing store directory. Sweeps orphaned temp files
@@ -640,29 +424,8 @@ impl SnapshotStore {
                 format!("snapshot store directory {} not found", dir.display()),
             )));
         }
-        let store = Self { dir };
-        store.sweep_orphans()?;
-        Ok(store)
-    }
-
-    /// Removes orphaned `.snap-*.sibsnap.tmp` files left behind by an
-    /// interrupted [`SnapshotStore::write`] (the crash window is between
-    /// temp-file creation and rename). Returns the removed paths. Called
-    /// at every store open, so torn writes never accumulate and can
-    /// never be mistaken for live data — temp names are hidden and never
-    /// parsed by [`SnapshotStore::dates`], so this is pure hygiene.
-    pub fn sweep_orphans(&self) -> Result<Vec<PathBuf>, StoreError> {
-        let mut removed = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with(".snap-") && name.ends_with(".sibsnap.tmp") {
-                std::fs::remove_file(entry.path())?;
-                removed.push(entry.path());
-            }
-        }
-        Ok(removed)
+        durable::sweep(&dir, is_month_file)?;
+        Ok(Self { dir })
     }
 
     /// The store's directory.
@@ -685,52 +448,23 @@ impl SnapshotStore {
         let mut out = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(date) = name
-                .strip_prefix("snap-")
-                .and_then(|rest| rest.strip_suffix(".sibsnap"))
-            {
-                if let Ok(date) = date.parse::<MonthDate>() {
-                    out.push(date);
-                }
+            if let Some(date) = name.to_str().and_then(month_of) {
+                out.push(date);
             }
         }
         out.sort_unstable();
         Ok(out)
     }
 
-    /// Serialises `src` into the store (atomically: temp file, fsync,
-    /// rename, directory fsync), returning the final path. Overwrites an
-    /// existing month. A crash at any point leaves either the old file
-    /// or the new one, never a mix — the worst residue is an orphaned
-    /// temp file the next open sweeps.
+    /// Serialises `src` into the store through [`durable::replace`]
+    /// (temp file, fsync, rename, directory fsync), returning the final
+    /// path. Overwrites an existing month. A crash at any point leaves
+    /// either the old file or the new one, never a mix — the worst
+    /// residue is an orphaned temp file the next open sweeps.
     pub fn write<S: SnapshotSource + ?Sized>(&self, src: &S) -> Result<PathBuf, StoreError> {
         let bytes = encode_snapshot(src)?;
         let path = self.path_of(src.snapshot_date());
-        let tmp = self
-            .dir
-            .join(format!(".snap-{}.sibsnap.tmp", src.snapshot_date()));
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            // Failpoint: a torn write persists a prefix of the image and
-            // fails, leaving the orphaned temp file for the sweep.
-            match sibling_failpoint::io_point("snapshot-store::write") {
-                Ok(None) => file.write_all(&bytes)?,
-                Ok(Some(n)) => {
-                    file.write_all(&bytes[..n.min(bytes.len())])?;
-                    file.sync_all()?;
-                    return Err(sibling_failpoint::injected("snapshot-store::write").into());
-                }
-                Err(e) => return Err(e.into()),
-            }
-            sibling_failpoint::io_point("snapshot-store::sync")?;
-            file.sync_all()?;
-        }
-        if sibling_failpoint::point("snapshot-store::rename") {
-            return Err(sibling_failpoint::injected("snapshot-store::rename").into());
-        }
-        std::fs::rename(&tmp, &path)?;
-        sync_dir(&self.dir)?;
+        durable::replace(&path, &bytes, &SITES)?.dir_synced?;
         Ok(path)
     }
 
@@ -771,51 +505,31 @@ impl SnapshotStore {
         date: MonthDate,
         mode: LoadMode,
     ) -> Result<Arc<SnapshotFile>, StoreError> {
-        match self.load_with(date, mode) {
-            Err(reason) if reason.is_corruption() => {
-                let path = self.path_of(date);
-                let mut quarantined = path.clone().into_os_string();
-                quarantined.push(".corrupt");
-                let quarantined = PathBuf::from(quarantined);
-                // Best-effort: if the rename itself fails, the caller's
-                // regeneration still lands atomically over the bad file.
-                let _ = std::fs::rename(&path, &quarantined);
-                Err(StoreError::Quarantined {
-                    path: quarantined,
-                    reason: Box::new(reason),
-                })
-            }
-            other => other,
-        }
+        self.load_with(date, mode)
+            .map_err(|reason| durable::quarantine(&self.path_of(date), reason))
     }
 }
 
-/// Flushes a directory after a rename so the new directory entry is
-/// durable, completing the fsync → rename → dir-fsync sequence the
-/// atomic store writes rely on. An empty path — the `parent()` of a
-/// bare file name — is the working directory. No-op where directories
-/// cannot be opened (non-unix).
-pub fn sync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        let dir = if dir.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            dir
-        };
-        std::fs::File::open(dir)?.sync_all()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = dir;
-        Ok(())
-    }
+/// The month a store file's name (`snap-YYYY-MM.sibsnap`) claims.
+fn month_of(name: &str) -> Option<MonthDate> {
+    name.strip_prefix("snap-")?
+        .strip_suffix(".sibsnap")?
+        .parse()
+        .ok()
+}
+
+/// Whether `name` names a month file — the targets whose orphaned temp
+/// files the store sweeps at open.
+fn is_month_file(name: &str) -> bool {
+    month_of(name).is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::SnapshotSource;
+    use crate::wire::ENDIAN_TAG;
+    use std::io::Write;
 
     fn d(i: u32) -> DomainId {
         DomainId(i)
@@ -859,7 +573,7 @@ mod tests {
     /// Flips payload bytes and re-seals the checksum, so structural
     /// validation (not the checksum) is what rejects the file.
     fn reseal(bytes: &mut [u8]) {
-        let checksum = file_checksum(bytes);
+        let checksum = wire::checksum_skipping(bytes, CHECKSUM_RANGE);
         bytes[40..48].copy_from_slice(&checksum.to_ne_bytes());
     }
 
@@ -870,14 +584,6 @@ mod tests {
             .write_all(bytes)
             .unwrap();
         path
-    }
-
-    #[test]
-    fn sync_dir_treats_an_empty_path_as_the_working_directory() {
-        // `Path::new("bare.jrnl").parent()` is `""`: journals opened by
-        // a bare file name sync the directory they live in.
-        assert_eq!(Path::new("bare.jrnl").parent(), Some(Path::new("")));
-        sync_dir(Path::new("")).unwrap();
     }
 
     #[test]

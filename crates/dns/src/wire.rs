@@ -1,12 +1,7 @@
-//! Shared wire-format helpers for the zero-copy store family.
-//!
-//! The snapshot store ([`crate::SnapshotStore`], `SIBSNAP`) and the world
-//! store (`SIBWORLD`, in `sibling-store`) share one header discipline:
-//! native-endian integers behind an endianness tag, an FNV-1a 64 checksum
-//! that covers the whole file with its own field skipped, 16-byte section
-//! alignment, and months encoded as a single `u32`. These helpers are that
-//! discipline, factored out so both formats validate byte-for-byte the
-//! same way.
+//! Byte-level helpers for the on-disk formats: native-endian integers
+//! behind an endianness tag, the FNV-1a 64 checksum, 16-byte section
+//! alignment, and months encoded as a single `u32`. The header checks
+//! built from them live in [`crate::durable`].
 
 use std::ops::Range;
 

@@ -33,7 +33,7 @@
 //! Queued jobs are stored as `'static` boxed closures, but
 //! [`ThreadPool::scope`] lets callers spawn closures borrowing caller
 //! state ([`Scope::spawn`]). The lifetime is erased at the submission
-//! boundary ([`erase_job_lifetime`], the crate's only `unsafe`) and
+//! boundary (`erase_job_lifetime`, the crate's only `unsafe`) and
 //! re-imposed structurally, following `std::thread::scope`: the scope
 //! itself counts outstanding jobs and `scope()` does not return (or
 //! unwind) until every spawned job has finished. Soundness therefore

@@ -43,8 +43,11 @@
 //! (control flavored: returns whether the site demands a failure);
 //! both handle `delay` and `panic` inline.
 //!
-//! Sites in the workspace, by family: `snapshot-store::{write,open}`
-//! and `world-store::rename` (crash-consistent stores),
+//! Sites in the workspace, by family: `snapshot-store::*`,
+//! `world-store::*`, `journal-reset::*` and `publish::*` (each file's
+//! `write`, `sync`, `rename` and `sync-dir` steps through
+//! `sibling_dns::durable::replace`, plus the stores' `open` short
+//! reads), `journal::{append,sync,replay}` (the ingest journal),
 //! `service::{accept,answer,write}` (the serving tier),
 //! `ingest::publish` (the live window's journal-then-publish seam),
 //! and `replication::{send,recv,apply}` — the primary's feed answer,

@@ -13,7 +13,9 @@
 //! One file, `world.sibworld`, beside the snapshot files. A 64-byte header
 //! (magic `SIBWORLD`, version, endianness tag, worldgen-config
 //! fingerprint, whole-file FNV-1a checksum with its own field skipped,
-//! file length, section counts) is followed by 16-byte-aligned sections:
+//! file length, section counts) is followed by 16-byte-aligned sections.
+//! Publishing, sweeping, quarantine and the header checks are
+//! [`sibling_dns::durable`]'s; this crate keeps only the encoding:
 //!
 //! ```text
 //! months     M × { date, table }           which table serves each month
@@ -52,7 +54,6 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -61,7 +62,8 @@ use sibling_as_org::{
     AsOrgMap, AsOrgSource, AsdbDataset, BusinessType, HgCdnClass, HgCdnList, MappingEra, OrgId,
 };
 use sibling_bgp::{Rib, RibArchive, RibSource};
-use sibling_dns::wire::{self, put_u32, put_u64, read_u32, read_u64, ENDIAN_TAG};
+use sibling_dns::durable::{self, Sites};
+use sibling_dns::wire::{self, put_u32, put_u64, read_u32, read_u64};
 use sibling_dns::{LoadMode, StoreError};
 use sibling_net_types::{
     AddressFamily, Asn, Bits, IpFamily, MonthDate, Prefix, RibRecord4, RibRecord6,
@@ -73,6 +75,16 @@ const HEADER_LEN: u64 = 64;
 /// Byte range of the checksum field within the header (skipped when
 /// checksumming).
 const CHECKSUM_RANGE: std::ops::Range<usize> = 24..32;
+const LEN_AT: usize = 32;
+/// Failpoint sites of [`WorldStore::write`] and, for short reads,
+/// of [`WorldStore::open_with`].
+const SITES: Sites = Sites {
+    write: "world-store::write",
+    sync: "world-store::sync",
+    rename: "world-store::rename",
+    sync_dir: "world-store::sync-dir",
+};
+const OPEN_SITE: &str = "world-store::open";
 /// The store file's name inside a store directory.
 pub const WORLD_FILE_NAME: &str = "world.sibworld";
 
@@ -270,8 +282,9 @@ impl WorldStore {
     /// written under a different configuration).
     ///
     /// Months in `archive` that share one table (`Arc::ptr_eq`) share one
-    /// stored table. The write is atomic: a hidden temp file is renamed
-    /// into place, so a concurrent reader never maps a half-written file.
+    /// stored table. The write is atomic ([`durable::replace`]): a hidden
+    /// temp file is renamed into place, so a concurrent reader never maps
+    /// a half-written file.
     pub fn write(
         dir: &Path,
         fingerprint: u64,
@@ -280,7 +293,7 @@ impl WorldStore {
         asdb: &AsdbDataset,
         hg_cdn: &HgCdnList,
     ) -> Result<PathBuf, StoreError> {
-        fs::create_dir_all(dir).map_err(StoreError::Io)?;
+        fs::create_dir_all(dir)?;
 
         // Deduplicate announce tables by identity, preserving first-seen
         // order so equal worlds serialize byte-identically.
@@ -381,60 +394,18 @@ impl WorldStore {
         pad16(&mut buf);
         buf.extend_from_slice(&names.bytes);
 
-        buf[0..8].copy_from_slice(MAGIC);
-        put_u32(&mut buf, 8, VERSION);
-        put_u32(&mut buf, 12, ENDIAN_TAG);
+        durable::put_prelude(&mut buf, MAGIC, VERSION);
         put_u64(&mut buf, 16, fingerprint);
-        let total_len = buf.len() as u64;
-        put_u64(&mut buf, 32, total_len);
         put_u32(&mut buf, 40, months.len() as u32);
         put_u32(&mut buf, 44, images.len() as u32);
         put_u32(&mut buf, 48, hg_records.len() as u32);
         put_u32(&mut buf, 52, asdb_records.len() as u32);
         put_u32(&mut buf, 56, names.bytes.len() as u32);
-        let checksum = wire::checksum_skipping(&buf, CHECKSUM_RANGE);
-        put_u64(&mut buf, CHECKSUM_RANGE.start, checksum);
+        durable::seal(&mut buf, LEN_AT, CHECKSUM_RANGE);
 
         let path = Self::path_of(dir);
-        let tmp = dir.join(format!(".{WORLD_FILE_NAME}.tmp"));
-        let mut file = fs::File::create(&tmp).map_err(StoreError::Io)?;
-        // Failpoint: a torn write persists a prefix of the image and
-        // fails, leaving the orphaned temp file for the sweep.
-        match sibling_failpoint::io_point("world-store::write") {
-            Ok(None) => file.write_all(&buf).map_err(StoreError::Io)?,
-            Ok(Some(n)) => {
-                file.write_all(&buf[..n.min(buf.len())])
-                    .map_err(StoreError::Io)?;
-                file.sync_all().map_err(StoreError::Io)?;
-                return Err(StoreError::Io(sibling_failpoint::injected(
-                    "world-store::write",
-                )));
-            }
-            Err(e) => return Err(StoreError::Io(e)),
-        }
-        sibling_failpoint::io_point("world-store::sync").map_err(StoreError::Io)?;
-        file.sync_all().map_err(StoreError::Io)?;
-        drop(file);
-        if sibling_failpoint::point("world-store::rename") {
-            return Err(StoreError::Io(sibling_failpoint::injected(
-                "world-store::rename",
-            )));
-        }
-        fs::rename(&tmp, &path).map_err(StoreError::Io)?;
-        sibling_dns::sync_dir(dir).map_err(StoreError::Io)?;
+        durable::replace(&path, &buf, &SITES)?.dir_synced?;
         Ok(path)
-    }
-
-    /// Removes an orphaned `.world.sibworld.tmp` left behind by an
-    /// interrupted [`WorldStore::write`]. Returns whether one was
-    /// removed. Called at every open, so torn writes never accumulate.
-    pub fn sweep_orphans(dir: &Path) -> io::Result<bool> {
-        let tmp = dir.join(format!(".{WORLD_FILE_NAME}.tmp"));
-        match fs::remove_file(&tmp) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
     }
 
     /// Opens and fully validates `dir/world.sibworld`, mapping the file
@@ -454,24 +425,8 @@ impl WorldStore {
         expected_fingerprint: Option<u64>,
         mode: LoadMode,
     ) -> Result<StoredWorld, StoreError> {
-        Self::sweep_orphans(dir).map_err(StoreError::Io)?;
-        let path = Self::path_of(dir);
-        let file = match mode {
-            LoadMode::Mmap => MapFile::open(&path),
-            LoadMode::Read => MapFile::read(&path),
-        }
-        .map_err(StoreError::Io)?;
-        // Failpoint: a short read surfaces as the same truncation error a
-        // really-truncated file would produce.
-        match sibling_failpoint::io_point("world-store::open").map_err(StoreError::Io)? {
-            Some(n) if n < file.len() => {
-                return Err(StoreError::Truncated {
-                    expected: file.len() as u64,
-                    got: n as u64,
-                });
-            }
-            _ => {}
-        }
+        durable::sweep(dir, |name| name == WORLD_FILE_NAME)?;
+        let file = durable::load(&Self::path_of(dir), mode, OPEN_SITE)?;
         StoredWorld::from_file(file, expected_fingerprint)
     }
 
@@ -486,22 +441,8 @@ impl WorldStore {
         expected_fingerprint: Option<u64>,
         mode: LoadMode,
     ) -> Result<StoredWorld, StoreError> {
-        match Self::open_with(dir, expected_fingerprint, mode) {
-            Err(reason) if reason.is_corruption() => {
-                let path = Self::path_of(dir);
-                let mut quarantined = path.clone().into_os_string();
-                quarantined.push(".corrupt");
-                let quarantined = PathBuf::from(quarantined);
-                // Best-effort: if the rename itself fails, regeneration
-                // still lands atomically over the bad file.
-                let _ = fs::rename(&path, &quarantined);
-                Err(StoreError::Quarantined {
-                    path: quarantined,
-                    reason: Box::new(reason),
-                })
-            }
-            other => other,
-        }
+        Self::open_with(dir, expected_fingerprint, mode)
+            .map_err(|reason| durable::quarantine(&Self::path_of(dir), reason))
     }
 }
 
@@ -654,32 +595,8 @@ pub struct StoredWorld {
 impl StoredWorld {
     fn from_file(file: MapFile, expected_fingerprint: Option<u64>) -> Result<Self, StoreError> {
         let bytes = file.bytes();
-        if bytes.len() < HEADER_LEN as usize {
-            return Err(StoreError::Truncated {
-                expected: HEADER_LEN,
-                got: bytes.len() as u64,
-            });
-        }
-        if &bytes[0..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        if read_u32(bytes, 12) != ENDIAN_TAG {
-            return Err(StoreError::BadEndian);
-        }
-        let version = read_u32(bytes, 8);
-        if version != VERSION {
-            return Err(StoreError::BadVersion(version));
-        }
-        let file_len = read_u64(bytes, 32);
-        if file_len != bytes.len() as u64 {
-            return Err(StoreError::Truncated {
-                expected: file_len,
-                got: bytes.len() as u64,
-            });
-        }
-        if wire::checksum_skipping(bytes, CHECKSUM_RANGE) != read_u64(bytes, CHECKSUM_RANGE.start) {
-            return Err(StoreError::ChecksumMismatch);
-        }
+        durable::check_prelude(bytes, MAGIC, VERSION, HEADER_LEN as usize)?;
+        durable::check_sealed(bytes, LEN_AT, CHECKSUM_RANGE)?;
         let fingerprint = read_u64(bytes, 16);
         if let Some(expected) = expected_fingerprint {
             if fingerprint != expected {
@@ -771,7 +688,7 @@ impl StoredWorld {
             return Err(StoreError::Corrupt("asdb entries not ascending"));
         }
         let (names_off, _) = walk.raw(names_len)?;
-        if walk.off as u64 != file_len {
+        if walk.off != bytes.len() {
             return Err(StoreError::Corrupt("trailing bytes after the names blob"));
         }
         let blob = &bytes[names_off..names_off + names_len];
@@ -1270,6 +1187,26 @@ mod tests {
             WorldStore::open(&dir, None),
             Err(StoreError::BadVersion(99))
         ));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn header_errors_do_not_call_the_world_file_a_snapshot() {
+        let dir = temp_dir("wording");
+        let path = write_sample(&dir);
+        let original = fs::read(&path).unwrap();
+        let mut messages = Vec::new();
+        let mut bytes = original.clone();
+        bytes[0] = b'X';
+        fs::write(&path, &bytes).unwrap();
+        messages.push(WorldStore::open(&dir, None).unwrap_err().to_string());
+        let mut bytes = original;
+        put_u32(&mut bytes, 8, 99);
+        fs::write(&path, &bytes).unwrap();
+        messages.push(WorldStore::open(&dir, None).unwrap_err().to_string());
+        for message in messages {
+            assert!(!message.contains("snapshot"), "{message}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,7 +9,8 @@
 //!   mid-`write_all`) leaves only an orphaned temp file the next open
 //!   sweeps; a failed rename leaves the store absent, never half
 //!   visible; a short read at open quarantines the month aside and the
-//!   regenerated month round-trips bit-identically.
+//!   regenerated month round-trips bit-identically. A journal reset
+//!   whose directory fsync fails still keeps every later append.
 //! - **Overload-resilient daemon.** A server under a failpoint schedule
 //!   (accept errors, write errors, injected answer panics) keeps
 //!   serving: every answer a retrying client completes is bit-identical
@@ -27,7 +28,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sibling_core::{BatchRun, DetectEngine, EngineConfig, EpochState, WindowQueryIndex};
-use sibling_dns::{encode_snapshot, LoadMode, SnapshotDelta, SnapshotStore, StoreError};
+use sibling_dns::{
+    encode_snapshot, IngestJournal, LoadMode, SnapshotDelta, SnapshotStore, StoreError,
+};
 use sibling_executor::ThreadPool;
 use sibling_failpoint as failpoint;
 use sibling_net_types::MonthDate;
@@ -318,6 +321,47 @@ fn torn_journal_tail_is_discarded_and_the_durable_prefix_replays() {
     assert_eq!(live.tail_date(), to);
     let batch = WindowQueryIndex::publish(&score(&world, from, to)).expect("non-empty window");
     assert_eq!(stat_rows(live.published().pin().index()), stat_rows(&batch));
+}
+
+#[test]
+fn failed_directory_sync_after_a_journal_reset_keeps_later_appends() {
+    let _guard = chaos_guard();
+    let scratch = Scratch::new("journal-reset-sync-dir");
+    let path = scratch.0.join("ingest.sibjrnl");
+    let world = World::generate(WorldConfig::test_tiny(37));
+    let to = world.config.end;
+    let mid = to.add_months(-1);
+    let from = to.add_months(-2);
+    let first = SnapshotDelta::diff(&world.snapshot(from), &world.snapshot(mid));
+    let second = SnapshotDelta::diff(&world.snapshot(mid), &world.snapshot(to));
+
+    let (mut journal, _) = IngestJournal::open(&path).unwrap();
+    journal.append(&first).unwrap();
+
+    // The reset's rename lands, then its directory fsync fails. The
+    // error is reported, through the reset's own sites only.
+    failpoint::configure("journal::sync", "off").unwrap();
+    failpoint::configure("journal-reset::sync-dir", "once*return").unwrap();
+    let err = journal.reset().unwrap_err();
+    assert_eq!(failpoint::fired("journal-reset::sync-dir"), 1);
+    assert_eq!(
+        failpoint::hits("journal::sync"),
+        0,
+        "a reset is not an append"
+    );
+    failpoint::clear("journal-reset::sync-dir");
+    failpoint::clear("journal::sync");
+    assert!(matches!(err, StoreError::Io(_)), "typed failure: {err}");
+    assert_eq!(journal.last_seq(), 1);
+
+    // The journal already writes to the file its path names, so a delta
+    // acknowledged after the failed reset survives a restart.
+    journal.append(&second).unwrap();
+    drop(journal);
+    let (journal, report) = IngestJournal::open(&path).unwrap();
+    assert_eq!(report.base_seq, 1);
+    assert_eq!(report.deltas, vec![second]);
+    assert_eq!(journal.last_seq(), 2);
 }
 
 #[test]
