@@ -29,20 +29,25 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sibling_analysis::{all_experiments, run_by_id, AnalysisContext};
+use sibling_bgp::{RibArchive, RibSource};
 use sibling_core::longitudinal::PairLedger;
 use sibling_core::query::{MonthStats, WindowQueryIndex};
 use sibling_core::tuner::more_specific::tune_more_specific;
 use sibling_core::{BatchRun, DetectEngine, EngineConfig, EpochState, SpTunerConfig};
 use sibling_dns::durable::{self, Sites};
-use sibling_dns::{DnsSnapshot, LoadMode, SnapshotDelta, SnapshotFile, SnapshotStore, StoreError};
+use sibling_dns::{
+    DnsSnapshot, LoadMode, SnapshotDelta, SnapshotFile, SnapshotSource, SnapshotStore, StoreError,
+};
 use sibling_executor::ThreadPool;
 use sibling_net_types::MonthDate;
 use sibling_service::{
-    Client, DeltaFeed, Endpoint, FailoverClient, FollowerOptions, HealthGauges, LiveWindow,
-    QueryPlanner, Request, Response, RetryPolicy, ServeOptions, Server, ServerHandle,
+    follow, Client, DeltaFeed, Endpoint, FailoverClient, FollowerHandle, FollowerOptions,
+    HealthGauges, IngestSink, LiveWindow, QueryPlanner, RecoverReport, Request, Response,
+    RetryPolicy, ServeOptions, Server, ServerHandle,
 };
 use sibling_store::{check_months, WorldStore};
 use sibling_worldgen::{World, WorldConfig};
@@ -414,16 +419,40 @@ fn load_snapshots_healing(
     Ok((loaded, bytes))
 }
 
+/// `serve --ingest`'s writer, which [`run_window_input`] seeds over the
+/// scored window: the journal it replays and appends to, the primary it
+/// tails instead when it is a follower (`--follow`), and the store it
+/// compacts ingested months into (`--store`).
+struct Ingest<'a> {
+    journal: &'a Path,
+    follow: Option<&'a str>,
+    store: Option<SnapshotStore>,
+}
+
+/// A live window seeded over the scored one, its routing-table type
+/// erased: the planner readers answer through, what journal replay
+/// did, and either the primary's `ingest` writer or the follower's
+/// running replication thread.
+struct Live {
+    planner: QueryPlanner,
+    report: RecoverReport,
+    sink: Option<Box<dyn IngestSink>>,
+    /// Held, never read: dropping it stops the replication thread.
+    _follower: Option<FollowerHandle>,
+}
+
 /// Resolves the window's input — store-backed (snapshot store, plus the
-/// world file when present) or freshly generated — and runs `engine`
-/// over it. Shared by `batch` and `serve`, which therefore score
-/// identical windows from identical bytes.
+/// world file when present) or freshly generated — and scores it
+/// ([`score`]). Shared by `batch` and every `serve` mode, which
+/// therefore score identical windows from identical bytes; with
+/// `ingest` it also seeds the live window over the result.
 ///
 /// Store corruption degrades instead of failing: a corrupt world file
 /// is quarantined and the run falls back to generating the world; a
 /// corrupt snapshot is quarantined, regenerated and retried once
 /// ([`load_snapshots_healing`]). Either way the detection output is the
-/// same bytes a healthy store produces.
+/// same bytes a healthy store produces. A store lacking a window month
+/// fails with one typed error naming every missing month.
 ///
 /// Store-backed runs print a one-line load-timing breakdown on stderr
 /// (world-table open vs snapshot opens), so the "loading is nearly
@@ -434,7 +463,8 @@ fn run_window_input(
     config: &WorldConfig,
     from: MonthDate,
     to: MonthDate,
-) -> Result<BatchRun, String> {
+    ingest: Option<Ingest<'_>>,
+) -> Result<(BatchRun, Option<Live>), String> {
     let mode = args.load_mode()?;
     let generate = || {
         eprintln!(
@@ -446,11 +476,9 @@ fn run_window_input(
     };
     let Some(dir) = args.get("store") else {
         let world = generate();
-        let archive = world.rib_archive();
-        let run = engine.run_window(from, to, &archive, |date| {
-            std::sync::Arc::new(world.snapshot(date))
-        })?;
-        return Ok(run);
+        return score(engine, (from, to), world.rib_archive(), ingest, |date| {
+            Arc::new(world.snapshot(date))
+        });
     };
     let world_open = Instant::now();
     let stored = if WorldStore::exists(Path::new(dir)) {
@@ -470,31 +498,34 @@ fn run_window_input(
         None
     };
     let window = from.range_to(to);
-    let run = match stored {
+    // The fingerprint check refuses a store exported under a different
+    // configuration, and the coverage pre-scans turn gaps into one
+    // typed error listing every missing month. With or without a world
+    // file, snapshots come off the store: a missing month is an error,
+    // never a month worldgen fills in.
+    if let Some(stored) = &stored {
+        check_months(stored, &window).map_err(|e| e.to_string())?;
+    }
+    let world_open = world_open.elapsed();
+    let store = SnapshotStore::open(dir).map_err(|e| e.to_string())?;
+    let missing: Vec<MonthDate> = window
+        .iter()
+        .copied()
+        .filter(|&d| !store.contains(d))
+        .collect();
+    if !missing.is_empty() {
+        return Err(format!(
+            "snapshot store: {}",
+            StoreError::MissingMonths { missing }
+        ));
+    }
+    match stored {
         Some(stored) => {
             // Fully store-backed window: snapshots come off the mmap'd
             // snapshot store, routing and organization tables off the
             // world file — worldgen never runs (unless a corrupt month
-            // needs healing). The fingerprint check refuses a store
-            // exported under a different configuration, and the
-            // coverage pre-scans turn gaps into one typed error listing
-            // every missing month.
-            check_months(&stored, &window).map_err(|e| e.to_string())?;
-            let archive = stored.rib_archive();
-            let world_open = world_open.elapsed();
+            // needs healing).
             let snapshot_open = Instant::now();
-            let store = SnapshotStore::open(dir).map_err(|e| e.to_string())?;
-            let missing: Vec<MonthDate> = window
-                .iter()
-                .copied()
-                .filter(|&d| !store.contains(d))
-                .collect();
-            if !missing.is_empty() {
-                return Err(format!(
-                    "snapshot store: {}",
-                    StoreError::MissingMonths { missing }
-                ));
-            }
             let (loaded, bytes) = load_snapshots_healing(&store, &window, mode, None, &generate)?;
             let snapshot_open = snapshot_open.elapsed();
             eprintln!(
@@ -509,7 +540,9 @@ fn run_window_input(
                 snapshot_open.as_micros(),
                 loaded.len()
             );
-            engine.run_window(from, to, &archive, |date| loaded[&date].clone())?
+            score(engine, (from, to), stored.rib_archive(), ingest, |date| {
+                loaded[&date].clone()
+            })
         }
         None => {
             // Snapshot-only store (no usable world file): zone
@@ -517,9 +550,7 @@ fn run_window_input(
             // because the RIB archive (and nothing else) is derived
             // from it.
             let world = generate();
-            let archive = world.rib_archive();
             let snapshot_open = Instant::now();
-            let store = SnapshotStore::open(dir).map_err(|e| e.to_string())?;
             let (loaded, bytes) =
                 load_snapshots_healing(&store, &window, mode, Some(&world), &generate)?;
             let snapshot_open = snapshot_open.elapsed();
@@ -533,10 +564,80 @@ fn run_window_input(
                 snapshot_open.as_micros(),
                 loaded.len()
             );
-            engine.run_window(from, to, &archive, |date| loaded[&date].clone())?
+            score(engine, (from, to), world.rib_archive(), ingest, |date| {
+                loaded[&date].clone()
+            })
         }
+    }
+}
+
+/// Scores `from..=to` over `archive` — the one step every arm of
+/// [`run_window_input`] ends in, whichever routing-table handle `R` its
+/// archive holds (`StoredRib` off a world file, `Arc<Rib>` from
+/// worldgen). With `ingest` it then seeds the live window: materializes
+/// the tail month (the only one the writer patches in place), seeds
+/// [`EpochState`] from the run's results, replays the journal, and
+/// attaches a primary's feed and writer or starts a follower's
+/// replication thread.
+fn score<R, H>(
+    engine: &mut DetectEngine,
+    (from, to): (MonthDate, MonthDate),
+    archive: RibArchive<R>,
+    ingest: Option<Ingest<'_>>,
+    mut snapshot_of: impl FnMut(MonthDate) -> H + Send,
+) -> Result<(BatchRun, Option<Live>), String>
+where
+    R: RibSource + Clone + Send + Sync + 'static,
+    H: SnapshotSource + Clone + Send + 'static,
+    EpochState<R>: Send,
+{
+    let mut tail = None;
+    let mut run = engine.run_window(from, to, &archive, |date| {
+        let snapshot = snapshot_of(date);
+        if date == to {
+            tail = Some(snapshot.clone());
+        }
+        snapshot
+    })?;
+    let Some(ingest) = ingest else {
+        return Ok((run, None));
     };
-    Ok(run)
+    let tail = DnsSnapshot::materialize(&tail.expect("the window ends at its tail month"));
+    let results = std::mem::take(&mut run.results);
+    let (epoch, index) = EpochState::seed(*engine.config(), archive, results, Arc::new(tail))
+        .map_err(|e| e.to_string())?;
+    // A primary publishes every accepted (and replayed) delta into the
+    // feed `sub` streams to followers. A follower has no feed and no
+    // writer (`ingest` answers `read-only`): its replication thread
+    // advances the window through the same journal-then-apply path.
+    let feed = ingest.follow.is_none().then(|| Arc::new(DeltaFeed::new()));
+    let gauges = match ingest.follow {
+        Some(_) => HealthGauges::follower(),
+        None => HealthGauges::primary(),
+    };
+    let (mut window, report) =
+        LiveWindow::recover_replicating(epoch, index, ingest.journal, ingest.store, feed.clone())?;
+    window.attach_gauges(Arc::clone(&gauges));
+    let mut planner = QueryPlanner::live(window.published());
+    planner.attach_gauges(Arc::clone(&gauges));
+    if let Some(feed) = feed {
+        planner.attach_feed(feed);
+    }
+    let (sink, follower): (Option<Box<dyn IngestSink>>, _) = match ingest.follow {
+        Some(upstream) => {
+            let follower = follow(window, upstream, gauges, FollowerOptions::default())
+                .map_err(|e| format!("starting the replication thread: {e}"))?;
+            (None, Some(follower))
+        }
+        None => (Some(Box::new(window)), None),
+    };
+    let live = Live {
+        planner,
+        report,
+        sink,
+        _follower: follower,
+    };
+    Ok((run, Some(live)))
 }
 
 /// One-pass longitudinal sweep: walks the snapshot window through
@@ -554,7 +655,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     let config = args.config()?;
     let (from, to) = args.window(&config)?;
     let mut engine = DetectEngine::new(args.engine_config()?);
-    let run = run_window_input(args, &mut engine, &config, from, to)?;
+    let (run, _) = run_window_input(args, &mut engine, &config, from, to, None)?;
 
     println!("{}", MonthStats::batch_header());
     // Month-over-month deltas via one carried ledger: the old month's
@@ -645,12 +746,33 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `serve`: the resident query daemon. Scores the window once exactly
-/// like `batch` (same store-backed fast path, same engine), pivots the
-/// results into the read-optimized [`WindowQueryIndex`], and serves the
-/// line protocol over TCP (`--listen`) or a unix socket (`--socket`)
-/// with `--readers` resident reader threads until the process is killed
-/// (or, with `--serve-ms N`, drains gracefully after N milliseconds).
+/// `serve`: the resident query daemon. Every mode loads and scores the
+/// window exactly like `batch` ([`run_window_input`]: same store-backed
+/// fast path, same engine, worldgen only without a world file or to
+/// heal a corrupt month), then binds, prints the readiness line and
+/// serves the line protocol over TCP (`--listen`) or a unix socket
+/// (`--socket`) with `--readers` resident reader threads until the
+/// process is killed (or, with `--serve-ms N`, drains gracefully after
+/// N milliseconds).
+///
+/// Without `--ingest` the scored window is published once and never
+/// changes. `--ingest JOURNAL` makes it live: the tail month is
+/// materialized, an epoch-published writer is seeded over the window,
+/// the journal replays (acknowledged deltas survive crashes), and a
+/// writer thread serves the `ingest` verb. The live daemon is a
+/// replication *primary*: every accepted (and replayed) delta is also
+/// published into an in-memory [`DeltaFeed`] under its durable epoch,
+/// which the `sub FROM-EPOCH` verb streams to followers. With
+/// `--follow ENDPOINT` it is instead a read-only *follower*: it
+/// bootstraps the same way (local store + its own journal), then tails
+/// ENDPOINT's feed on a background thread, applying each delta through
+/// the identical journal-then-apply path. Followers refuse `ingest`
+/// (`err read-only`) and report `role follower` plus their epoch lag in
+/// `health`. With `--store DIR` a live window auto-extends past `--to`
+/// through every contiguous stored month (where earlier runs'
+/// compactions landed), bounded by the world's range, and ingested
+/// months compact into the store; a window month the store lacks is an
+/// error, as in `batch --store`.
 ///
 /// Overload controls map straight onto [`ServeOptions`]: `--max-conns`
 /// caps concurrent connections (beyond it, `err busy` and close),
@@ -659,7 +781,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
 /// verbs are shed, `--drain-ms` bounds the graceful wind-down.
 ///
 /// Prints `listening <endpoint>` on stdout once ready — supervisors and
-/// the CI smoke step wait for that line before dialing in.
+/// the CI smoke step wait for that line before dialing in. A live
+/// window prints it only after replay: once a supervisor can dial, the
+/// window already carries every durable delta.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let endpoint = match (args.get("listen"), args.get("socket")) {
         (Some(addr), None) => Endpoint::Tcp(addr.to_string()),
@@ -705,35 +829,69 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .map_err(|_| "bad --shed-at (unsigned integer, 0 = cap + 1)".to_string())?,
     };
     let serve_ms = args.msecs("serve-ms", 0)?;
-    if let Some(journal) = args.get("ingest") {
-        let journal = std::path::PathBuf::from(journal);
-        return cmd_serve_live(args, endpoint, readers, options, serve_ms, &journal);
-    }
-    if args.get("follow").is_some() {
+    let follow = args.get("follow");
+    let journal = args.get("ingest").map(Path::new);
+    if follow.is_some() && journal.is_none() {
         return Err("serve --follow needs --ingest JOURNAL (the follower's own journal)".into());
     }
     let config = args.config()?;
-    let (from, to) = args.window(&config)?;
+    let (from, mut to) = args.window(&config)?;
+    let store = match (journal, args.get("store")) {
+        (Some(_), Some(dir)) => Some(SnapshotStore::open(dir).map_err(|e| e.to_string())?),
+        _ => None,
+    };
+    if let Some(store) = &store {
+        while to < config.end && store.contains(to.add_months(1)) {
+            to = to.add_months(1);
+        }
+    }
     let mut engine = DetectEngine::new(args.engine_config()?);
     let score = Instant::now();
-    let run = run_window_input(args, &mut engine, &config, from, to)?;
-    let index = WindowQueryIndex::publish(&run).map_err(|e| e.to_string())?;
+    let ingest = journal.map(|journal| Ingest {
+        journal,
+        follow,
+        store,
+    });
+    let (run, mut live) = run_window_input(args, &mut engine, &config, from, to, ingest)?;
+    let planner = match &live {
+        Some(live) => live.planner.clone(),
+        None => QueryPlanner::new(WindowQueryIndex::publish(&run).map_err(|e| e.to_string())?),
+    };
+    let index = planner.index();
     eprintln!(
         "window {from}..{to} scored and published in {} ms: {} months, {} pairs resident",
         score.elapsed().as_millis(),
         index.months().len(),
         index.total_pairs()
     );
-    let planner = QueryPlanner::new(index);
+    if let (Some(journal), Some(live)) = (journal, &live) {
+        eprintln!(
+            "ingest journal {}: replayed {} delta(s), skipped {} already-compacted, discarded {} \
+             torn byte(s); window tail {}",
+            journal.display(),
+            live.report.replayed,
+            live.report.skipped,
+            live.report.discarded_bytes,
+            index.bounds().1
+        );
+    }
     let server = Server::bind(&endpoint).map_err(|e| format!("bind failed: {e}"))?;
     // The readiness line: everything before this went to stderr, so a
     // supervisor can `read` exactly one stdout line and start dialing.
     println!("listening {}", server.endpoint());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    let handle = server
-        .start_with(planner, ThreadPool::with_threads(1), readers, options)
-        .map_err(|e| format!("starting readers: {e}"))?;
+    let pool = ThreadPool::with_threads(1);
+    // `live` outlives the daemon: it holds a follower's replication
+    // thread, which stops when the handle drops.
+    let handle = match live.as_mut().and_then(|live| live.sink.take()) {
+        Some(sink) => server.start_live(planner, pool, readers, options, sink),
+        None => server.start_with(planner, pool, readers, options),
+    }
+    .map_err(|e| format!("starting readers: {e}"))?;
+    if let Some(upstream) = follow {
+        eprintln!("following {upstream}; read-only (ingest answers err read-only)");
+    }
     run_daemon(handle, readers, serve_ms)
 }
 
@@ -758,166 +916,6 @@ fn run_daemon(handle: ServerHandle, readers: usize, serve_ms: u64) -> Result<(),
         eprintln!("{readers} reader(s) serving; kill the process to stop");
         handle.park_forever()
     }
-}
-
-/// `serve --ingest JOURNAL`: the live window. Scores the offline window
-/// like `serve`, then seeds an epoch-published writer over it, replays
-/// the ingest journal (acknowledged deltas survive crashes), and starts
-/// the daemon with a writer thread behind the `ingest` verb.
-///
-/// The live daemon is always a replication *primary*: every accepted
-/// (and journal-replayed) delta is also published into an in-memory
-/// [`DeltaFeed`] under its durable epoch, and the `sub FROM-EPOCH` verb
-/// streams the retained tail to followers. With `--follow ENDPOINT`
-/// the daemon is instead a read-only *follower*: it bootstraps the
-/// same way (local store + its own journal), then tails ENDPOINT's
-/// feed on a background thread, applying each delta through the
-/// identical journal-then-apply path. Followers refuse `ingest`
-/// (`err read-only`) and report `role follower` plus their epoch lag
-/// in `health`.
-///
-/// The world is always generated here — the writer needs RIB coverage
-/// for months *past* the offline window, and the synthetic world is the
-/// only source of it. With `--store DIR` the window auto-extends past
-/// `--to` through every contiguous stored month (where earlier runs'
-/// compactions landed), bounded by the world's range, and ingested
-/// months compact into the store. The `listening` readiness line prints
-/// only after replay finishes: once a supervisor can dial, the window
-/// already carries every durable delta.
-fn cmd_serve_live(
-    args: &Args,
-    endpoint: Endpoint,
-    readers: usize,
-    options: ServeOptions,
-    serve_ms: u64,
-    journal: &Path,
-) -> Result<(), String> {
-    let config = args.config()?;
-    let (from, mut to) = args.window(&config)?;
-    let mode = args.load_mode()?;
-    eprintln!(
-        "generating world (seed {}, preset {})…",
-        config.seed,
-        args.get("preset").unwrap_or("paper")
-    );
-    let world = World::generate(config.clone());
-    let archive = world.rib_archive();
-    let store = match args.get("store") {
-        Some(dir) => Some(SnapshotStore::open(dir).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    if let Some(store) = &store {
-        while to < config.end && store.contains(to.add_months(1)) {
-            to = to.add_months(1);
-        }
-    }
-    let window = from.range_to(to);
-    // Stored months heal like `batch`: a corrupt one is quarantined and
-    // rewritten from the world generated above.
-    let mut stored = match &store {
-        Some(store) => {
-            let months: Vec<MonthDate> = window
-                .iter()
-                .copied()
-                .filter(|&date| store.contains(date))
-                .collect();
-            let never = || unreachable!("the world is prebuilt");
-            load_snapshots_healing(store, &months, mode, Some(&world), &never)?.0
-        }
-        None => Default::default(),
-    };
-    let mut snaps = std::collections::BTreeMap::new();
-    for &date in &window {
-        let snap = match stored.remove(&date) {
-            Some(file) => DnsSnapshot::materialize(&*file),
-            None => world.snapshot(date),
-        };
-        snaps.insert(date, std::sync::Arc::new(snap));
-    }
-    let engine_config = args.engine_config()?;
-    let score = Instant::now();
-    let mut engine = DetectEngine::new(engine_config);
-    let run = engine.run_window(from, to, &archive, |date| snaps[&date].clone())?;
-    // Moved out, not cloned: the epoch writer patches its tail in place,
-    // and a second handle kept here would make the first ingest copy it.
-    let tail = snaps.remove(&to).expect("every window month is loaded");
-    let (epoch, index) =
-        EpochState::seed(engine_config, archive, run.results, tail).map_err(|e| e.to_string())?;
-    eprintln!(
-        "window {from}..{to} scored in {} ms: {} months, {} pairs resident",
-        score.elapsed().as_millis(),
-        index.months().len(),
-        index.total_pairs()
-    );
-    // Follower: bootstrap identically, but the window is advanced by
-    // the replication thread tailing the primary's feed, never by the
-    // `ingest` verb (no sink is attached, so it answers `read-only`).
-    if let Some(upstream) = args.get("follow") {
-        let gauges = HealthGauges::follower();
-        let (mut live, report) = LiveWindow::recover(epoch, index, journal, store)?;
-        live.attach_gauges(std::sync::Arc::clone(&gauges));
-        eprintln!(
-            "ingest journal {}: replayed {} delta(s), skipped {} already-compacted, discarded {} \
-             torn byte(s); window tail {}",
-            journal.display(),
-            report.replayed,
-            report.skipped,
-            report.discarded_bytes,
-            live.tail_date()
-        );
-        let mut planner = QueryPlanner::live(live.published());
-        planner.attach_gauges(std::sync::Arc::clone(&gauges));
-        let server = Server::bind(&endpoint).map_err(|e| format!("bind failed: {e}"))?;
-        println!("listening {}", server.endpoint());
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        // Started before the readers so a dialing supervisor already
-        // sees `role follower` in health; kept alive until the daemon
-        // exits (dropping the handle stops the thread).
-        let _follower = sibling_service::follow(live, upstream, gauges, FollowerOptions::default())
-            .map_err(|e| format!("starting the replication thread: {e}"))?;
-        let handle = server
-            .start_with(planner, ThreadPool::with_threads(1), readers, options)
-            .map_err(|e| format!("starting readers: {e}"))?;
-        eprintln!("following {upstream}; read-only (ingest answers err read-only)");
-        return run_daemon(handle, readers, serve_ms);
-    }
-    let feed = std::sync::Arc::new(DeltaFeed::new());
-    let gauges = HealthGauges::primary();
-    let (mut live, report) = LiveWindow::recover_replicating(
-        epoch,
-        index,
-        journal,
-        store,
-        Some(std::sync::Arc::clone(&feed)),
-    )?;
-    live.attach_gauges(std::sync::Arc::clone(&gauges));
-    eprintln!(
-        "ingest journal {}: replayed {} delta(s), skipped {} already-compacted, discarded {} \
-         torn byte(s); window tail {}",
-        journal.display(),
-        report.replayed,
-        report.skipped,
-        report.discarded_bytes,
-        live.tail_date()
-    );
-    let mut planner = QueryPlanner::live(live.published());
-    planner.attach_feed(feed);
-    planner.attach_gauges(gauges);
-    let server = Server::bind(&endpoint).map_err(|e| format!("bind failed: {e}"))?;
-    println!("listening {}", server.endpoint());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let handle = server
-        .start_live(
-            planner,
-            ThreadPool::with_threads(1),
-            readers,
-            options,
-            Box::new(live),
-        )
-        .map_err(|e| format!("starting readers: {e}"))?;
-    run_daemon(handle, readers, serve_ms)
 }
 
 /// `ingest`: stream the synthetic world's monthly deltas into a live

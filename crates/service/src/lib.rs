@@ -36,9 +36,7 @@ pub use ingest::{IngestSink, LiveWindow, RecoverReport};
 pub use planner::QueryPlanner;
 pub use protocol::{parse_request, ProtocolError, Request, Response};
 pub use replicate::{follow, DeltaFeed, FollowerHandle, FollowerOptions, HealthGauges};
-pub use server::{
-    DrainReport, Endpoint, ServeOptions, ServeStats, ServeStatsSnapshot, Server, ServerHandle,
-};
+pub use server::{DrainReport, Endpoint, ServeOptions, ServeStatsSnapshot, Server, ServerHandle};
 
 #[cfg(test)]
 mod tests {
@@ -67,7 +65,12 @@ mod tests {
     fn start_tcp(readers: usize) -> ServerHandle {
         let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
         server
-            .start(planner(), ThreadPool::with_threads(2), readers)
+            .start_with(
+                planner(),
+                ThreadPool::with_threads(2),
+                readers,
+                ServeOptions::default(),
+            )
             .unwrap()
     }
 
@@ -539,7 +542,12 @@ mod tests {
         let server = Server::bind(&Endpoint::Unix(path.clone())).unwrap();
         assert_eq!(server.endpoint(), format!("unix://{}", path.display()));
         let handle = server
-            .start(planner(), ThreadPool::with_threads(1), 1)
+            .start_with(
+                planner(),
+                ThreadPool::with_threads(1),
+                1,
+                ServeOptions::default(),
+            )
             .unwrap();
         let mut client = Client::connect(handle.endpoint()).unwrap();
         match client.roundtrip("stats 2024-01").unwrap() {

@@ -6,17 +6,20 @@
 //! reused output buffer, so a query costs a parse, a binary search or two
 //! and number formatting: no locks, and no allocation once the buffer has
 //! warmed up.
+//!
+//! `health` answers from the planner's one [`HealthGauges`] registry:
+//! the serving counters the server bumps, plus the role, journal and
+//! lag gauges of a primary or follower when one is attached.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use sibling_core::query::{MonthStats, MonthView, WindowQueryIndex};
+use sibling_core::query::{MonthView, WindowQueryIndex};
 use sibling_core::{PublishedWindow, SiblingPair};
 use sibling_net_types::MonthDate;
 
 use crate::protocol::{parse_request, ProtocolError, Request};
 use crate::replicate::{DeltaFeed, HealthGauges};
-use crate::server::ServeStats;
 
 /// Executes requests against the published window. Cloning is an `Arc`
 /// bump — each reader thread owns a clone and shares the window
@@ -24,16 +27,13 @@ use crate::server::ServeStats;
 #[derive(Debug, Clone)]
 pub struct QueryPlanner {
     window: Arc<PublishedWindow>,
-    /// The serving counters the `health` verb reports — attached by the
-    /// server when it starts; `None` (all-zero health counters) when the
-    /// planner is used standalone.
-    stats: Option<Arc<ServeStats>>,
     /// The replication feed `sub` answers from — attached on primaries;
     /// everywhere else `sub` answers the typed `no-feed` error.
     feed: Option<Arc<DeltaFeed>>,
-    /// Replication gauges for `health`'s role/epoch-lag/journal lines —
-    /// `None` reports the static-daemon defaults.
-    gauges: Option<Arc<HealthGauges>>,
+    /// The health registry `health` reports and the server counts
+    /// into — a `role static` one unless a primary's or follower's is
+    /// attached.
+    gauges: Arc<HealthGauges>,
 }
 
 /// Renders one sibling pair as a response data line (sans newline):
@@ -65,9 +65,8 @@ impl QueryPlanner {
     pub fn live(window: Arc<PublishedWindow>) -> Self {
         Self {
             window,
-            stats: None,
             feed: None,
-            gauges: None,
+            gauges: Arc::default(),
         }
     }
 
@@ -81,13 +80,6 @@ impl QueryPlanner {
         &self.window
     }
 
-    /// Attaches the serving counters the `health` verb reports. The
-    /// server calls this when it starts; detached planners answer
-    /// `health` with zero counters.
-    pub fn attach_stats(&mut self, stats: Arc<ServeStats>) {
-        self.stats = Some(stats);
-    }
-
     /// Attaches the replication feed `sub` answers from — done on
     /// primaries before the server starts. Planners without a feed
     /// answer `sub` with the typed `no-feed` error.
@@ -95,11 +87,17 @@ impl QueryPlanner {
         self.feed = Some(feed);
     }
 
-    /// Attaches the replication gauges behind `health`'s `role`,
-    /// `epoch-lag`, `journal-bytes` and `journal-records` lines.
-    /// Planners without gauges report `role static` and zeros.
+    /// Replaces the health registry with a primary's or follower's
+    /// (attach before the server starts: it counts into the registry
+    /// the planner holds then). Planners without one report
+    /// `role static`.
     pub fn attach_gauges(&mut self, gauges: Arc<HealthGauges>) {
-        self.gauges = Some(gauges);
+        self.gauges = gauges;
+    }
+
+    /// The health registry `health` reports.
+    pub(crate) fn gauges(&self) -> &HealthGauges {
+        &self.gauges
     }
 
     /// Answers one raw request line, replacing `out` with the complete
@@ -220,34 +218,18 @@ impl QueryPlanner {
                 let _ = write!(out, "ok 1\n{}\n", pin.epoch());
             }
             Request::Health => {
-                let stats = self
-                    .stats
-                    .as_deref()
-                    .map(ServeStats::snapshot)
-                    .unwrap_or_default();
+                let gauges = &self.gauges;
+                let stats = gauges.snapshot();
                 let lag = stats
                     .ingests
                     .saturating_sub(stats.ingest_failures + stats.epochs);
-                let gauges = self.gauges.as_deref();
                 out.push_str("ok 15\n");
                 let _ = writeln!(out, "months {}", index.months().len());
                 let _ = writeln!(out, "epoch {}", pin.epoch());
-                let _ = writeln!(out, "role {}", gauges.map_or("static", HealthGauges::role));
-                let _ = writeln!(
-                    out,
-                    "epoch-lag {}",
-                    gauges.map_or(0, HealthGauges::epoch_lag)
-                );
-                let _ = writeln!(
-                    out,
-                    "journal-bytes {}",
-                    gauges.map_or(0, HealthGauges::journal_bytes)
-                );
-                let _ = writeln!(
-                    out,
-                    "journal-records {}",
-                    gauges.map_or(0, HealthGauges::journal_records)
-                );
+                let _ = writeln!(out, "role {}", gauges.role());
+                let _ = writeln!(out, "epoch-lag {}", gauges.epoch_lag());
+                let _ = writeln!(out, "journal-bytes {}", gauges.journal_bytes());
+                let _ = writeln!(out, "journal-records {}", gauges.journal_records());
                 let _ = writeln!(out, "ingests {}", stats.ingests);
                 let _ = writeln!(out, "ingest-failures {}", stats.ingest_failures);
                 let _ = writeln!(out, "epochs-published {}", stats.epochs);
@@ -273,12 +255,6 @@ impl QueryPlanner {
             }
         }
         Ok(())
-    }
-
-    /// The batch-table header matching `stats` data lines — what the CLI
-    /// prints above them.
-    pub fn stats_header() -> String {
-        MonthStats::batch_header()
     }
 }
 

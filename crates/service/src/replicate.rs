@@ -56,6 +56,7 @@ use sibling_dns::SnapshotDelta;
 use crate::client::{Client, RetryPolicy};
 use crate::ingest::LiveWindow;
 use crate::protocol::{from_hex, to_hex, Request, Response};
+use crate::server::ServeStatsSnapshot;
 
 /// How many delta lines one `sub` answer carries at most — a lagging
 /// follower drains in batches instead of one unbounded response.
@@ -180,14 +181,25 @@ impl DeltaFeed {
     }
 }
 
-/// Replication-aware serving gauges the `health` verb reports: the
-/// daemon's role, its journal durability backlog, and (on followers)
-/// how far behind the primary it is. Shared between the serving planner
-/// and whichever component advances the state — the [`LiveWindow`] for
-/// journal gauges, the [`follow`] thread for epochs.
+/// The one health registry the `health` verb reports: the daemon's
+/// role, its serving counters, its journal durability backlog, and (on
+/// followers) how far behind the primary it is. Every
+/// [`crate::QueryPlanner`] owns one — `role static` unless a primary's
+/// or follower's is attached — and whatever advances the state counts
+/// into it: the server per request and ingest, the [`LiveWindow`] for
+/// the journal, the [`follow`] thread for epochs.
 #[derive(Debug)]
 pub struct HealthGauges {
     role: &'static str,
+    // The serving counters, one per field of [`ServeStatsSnapshot`].
+    pub(crate) served: AtomicU64,
+    pub(crate) shed_connections: AtomicU64,
+    pub(crate) shed_requests: AtomicU64,
+    pub(crate) timeouts: AtomicU64,
+    pub(crate) panics: AtomicU64,
+    pub(crate) ingests: AtomicU64,
+    pub(crate) ingest_failures: AtomicU64,
+    pub(crate) epochs: AtomicU64,
     journal_bytes: AtomicU64,
     journal_records: AtomicU64,
     /// The primary epoch a follower last observed over the feed.
@@ -195,37 +207,67 @@ pub struct HealthGauges {
     /// The follower's feed cursor: the last primary epoch it applied
     /// (or fast-forwarded past as already carried).
     applied_epoch: AtomicU64,
-    /// Whether the follower currently holds a live feed connection.
-    connected: AtomicBool,
+}
+
+/// A static daemon's registry: `role static`, every counter zero.
+impl Default for HealthGauges {
+    fn default() -> Self {
+        Self::new("static")
+    }
 }
 
 impl HealthGauges {
-    fn new(role: &'static str) -> Arc<Self> {
-        Arc::new(Self {
+    fn new(role: &'static str) -> Self {
+        Self {
             role,
+            served: AtomicU64::new(0),
+            shed_connections: AtomicU64::new(0),
+            shed_requests: AtomicU64::new(0),
+            timeouts: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+            ingests: AtomicU64::new(0),
+            ingest_failures: AtomicU64::new(0),
+            epochs: AtomicU64::new(0),
             journal_bytes: AtomicU64::new(0),
             journal_records: AtomicU64::new(0),
             source_epoch: AtomicU64::new(0),
             applied_epoch: AtomicU64::new(0),
-            connected: AtomicBool::new(false),
-        })
+        }
     }
 
     /// Gauges for a primary (`serve --ingest`): it publishes the feed,
     /// so its epoch lag is zero by definition.
     pub fn primary() -> Arc<Self> {
-        Self::new("primary")
+        Arc::new(Self::new("primary"))
     }
 
     /// Gauges for a follower (`serve --follow`).
     pub fn follower() -> Arc<Self> {
-        Self::new("follower")
+        Arc::new(Self::new("follower"))
     }
 
-    /// The replication role: `"primary"` or `"follower"` (daemons
-    /// without gauges report `"static"`).
+    /// The role: `"static"`, `"primary"` or `"follower"`.
     pub fn role(&self) -> &'static str {
         self.role
+    }
+
+    /// Adds one to a serving counter.
+    pub(crate) fn bump(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A consistent-enough copy of the serving counters.
+    pub(crate) fn snapshot(&self) -> ServeStatsSnapshot {
+        ServeStatsSnapshot {
+            served: self.served.load(Ordering::Relaxed),
+            shed_connections: self.shed_connections.load(Ordering::Relaxed),
+            shed_requests: self.shed_requests.load(Ordering::Relaxed),
+            timeouts: self.timeouts.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
+            ingests: self.ingests.load(Ordering::Relaxed),
+            ingest_failures: self.ingest_failures.load(Ordering::Relaxed),
+            epochs: self.epochs.load(Ordering::Relaxed),
+        }
     }
 
     /// Records the journal's durability backlog (bytes and records
@@ -263,15 +305,6 @@ impl HealthGauges {
         self.source_epoch
             .load(Ordering::Relaxed)
             .saturating_sub(self.applied_epoch.load(Ordering::Relaxed))
-    }
-
-    /// Whether the follower holds a live feed connection right now.
-    pub fn connected(&self) -> bool {
-        self.connected.load(Ordering::Relaxed)
-    }
-
-    fn set_connected(&self, connected: bool) {
-        self.connected.store(connected, Ordering::Relaxed);
     }
 }
 
@@ -400,7 +433,6 @@ fn follower_loop<R>(
         let mut client = match Client::connect(endpoint) {
             Ok(client) => client,
             Err(_) => {
-                gauges.set_connected(false);
                 sleep_observing(
                     stop,
                     options.retry.delay(dial_failures.min(MAX_BACKOFF_EXP)),
@@ -413,7 +445,6 @@ fn follower_loop<R>(
             continue;
         }
         dial_failures = 0;
-        gauges.set_connected(true);
         loop {
             if stop.load(Ordering::Acquire) {
                 return;
@@ -450,7 +481,6 @@ fn follower_loop<R>(
                 Err(_) => break,
             }
         }
-        gauges.set_connected(false);
     }
 }
 
@@ -629,8 +659,5 @@ mod tests {
         follower.observe_source(3);
         follower.observe_applied(2);
         assert_eq!(follower.epoch_lag(), 0);
-        assert!(!follower.connected());
-        follower.set_connected(true);
-        assert!(follower.connected());
     }
 }

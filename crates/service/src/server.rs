@@ -12,7 +12,10 @@
 //!
 //! The hot path holds no locks: readers share the immutable
 //! [`crate::QueryPlanner`] (an `Arc` of the published index) and a
-//! per-thread reusable output buffer.
+//! per-thread reusable output buffer. The serving counters go into the
+//! planner's [`HealthGauges`], the same registry `health` reports, so
+//! a static, primary or follower daemon starts the same way and only
+//! differs in the registry's role and whether a writer is attached.
 //!
 //! # Overload and failure behavior
 //!
@@ -35,14 +38,14 @@
 //!   connection; the reader accepts the next one.
 //! - **Graceful drain** — [`ServerHandle::drain`] stops accepting,
 //!   lets in-flight requests finish (bounded by `drain_deadline`), then
-//!   joins the readers and reports [`ServeStats`].
+//!   joins the readers and reports the final counters.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -52,6 +55,7 @@ use sibling_executor::{ResidentCtx, ThreadPool};
 use crate::ingest::IngestSink;
 use crate::planner::QueryPlanner;
 use crate::protocol::{parse_request, ProtocolError, Request};
+use crate::replicate::HealthGauges;
 
 /// How long an accept/read blocks before re-checking the stop signal.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
@@ -112,41 +116,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// Counters a serving session accumulates (readable while running via
-/// [`ServerHandle::stats`], final values in the [`DrainReport`]).
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    served: AtomicU64,
-    shed_connections: AtomicU64,
-    shed_requests: AtomicU64,
-    timeouts: AtomicU64,
-    panics: AtomicU64,
-    ingests: AtomicU64,
-    ingest_failures: AtomicU64,
-    epochs: AtomicU64,
-}
-
-impl ServeStats {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough copy of the counters.
-    pub fn snapshot(&self) -> ServeStatsSnapshot {
-        ServeStatsSnapshot {
-            served: self.served.load(Ordering::Relaxed),
-            shed_connections: self.shed_connections.load(Ordering::Relaxed),
-            shed_requests: self.shed_requests.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            ingests: self.ingests.load(Ordering::Relaxed),
-            ingest_failures: self.ingest_failures.load(Ordering::Relaxed),
-            epochs: self.epochs.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`ServeStats`].
+/// A point-in-time copy of the serving counters in a daemon's
+/// [`HealthGauges`] (readable while running via [`ServerHandle::stats`],
+/// final values in the [`DrainReport`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStatsSnapshot {
     /// Requests answered (including `err` answers).
@@ -306,13 +278,12 @@ struct IngestJob {
     reply: mpsc::SyncSender<Result<u64, String>>,
 }
 
-/// State every reader shares: the planner, the stop signal, the active
-/// connection gauge and the counters.
+/// State every reader shares: the planner (whose health registry the
+/// counters go to), the stop signal and the active connection gauge.
 struct Shared {
     planner: QueryPlanner,
     stop: AtomicBool,
     active: AtomicUsize,
-    stats: Arc<ServeStats>,
     max_conns: usize,
     /// Active-connection count at which expensive verbs shed.
     pressure_at: usize,
@@ -374,16 +345,6 @@ impl Server {
         &self.endpoint
     }
 
-    /// [`Server::start_with`] under default [`ServeOptions`].
-    pub fn start(
-        self,
-        planner: QueryPlanner,
-        pool: ThreadPool,
-        readers: usize,
-    ) -> io::Result<ServerHandle> {
-        self.start_with(planner, pool, readers, ServeOptions::default())
-    }
-
     /// Starts `readers` resident reader threads on `pool` and returns
     /// the running server's handle. The pool is moved in: the server owns
     /// it for the rest of its life, and dropping the handle stops the
@@ -415,7 +376,7 @@ impl Server {
 
     fn launch(
         self,
-        mut planner: QueryPlanner,
+        planner: QueryPlanner,
         pool: ThreadPool,
         readers: usize,
         options: ServeOptions,
@@ -427,8 +388,6 @@ impl Server {
             0 => readers,
             n => n,
         };
-        let stats = Arc::new(ServeStats::default());
-        planner.attach_stats(Arc::clone(&stats));
         let (ingest, writer) = match sink {
             Some(sink) => {
                 let (tx, rx) = mpsc::channel();
@@ -440,7 +399,6 @@ impl Server {
             planner,
             stop: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            stats,
             max_conns,
             pressure_at: match options.shed_expensive_at {
                 0 => max_conns + 1,
@@ -486,12 +444,7 @@ impl ServerHandle {
 
     /// The serving counters so far.
     pub fn stats(&self) -> ServeStatsSnapshot {
-        self.shared.stats.snapshot()
-    }
-
-    /// Connections being served right now.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
+        self.shared.planner.gauges().snapshot()
     }
 
     /// Blocks the calling thread until the process is killed — the
@@ -518,7 +471,7 @@ impl ServerHandle {
         drop(self.pool.take());
         DrainReport {
             drained,
-            stats: self.shared.stats.snapshot(),
+            stats: self.shared.planner.gauges().snapshot(),
         }
     }
 }
@@ -551,7 +504,7 @@ fn reader_loop(listener: Listener, shared: Arc<Shared>, ctx: ResidentCtx) {
             Ok(conn) => {
                 let active = shared.active.fetch_add(1, Ordering::AcqRel) + 1;
                 if active > shared.max_conns {
-                    ServeStats::bump(&shared.stats.shed_connections);
+                    HealthGauges::bump(&shared.planner.gauges().shed_connections);
                     let _ = shed_conn(conn, active, shared.max_conns);
                 } else {
                     let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -560,7 +513,7 @@ fn reader_loop(listener: Listener, shared: Arc<Shared>, ctx: ResidentCtx) {
                         let _ = serve_conn(&shared, conn, &mut out, &ctx);
                     }));
                     if served.is_err() {
-                        ServeStats::bump(&shared.stats.panics);
+                        HealthGauges::bump(&shared.planner.gauges().panics);
                         out = String::new();
                     }
                 }
@@ -589,21 +542,21 @@ fn writer_loop(
     loop {
         match jobs.recv_timeout(POLL_INTERVAL) {
             Ok(job) => {
-                ServeStats::bump(&shared.stats.ingests);
+                HealthGauges::bump(&shared.planner.gauges().ingests);
                 let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     sink.ingest(&job.delta)
                 }));
                 let outcome = match applied {
                     Ok(Ok(epoch)) => {
-                        ServeStats::bump(&shared.stats.epochs);
+                        HealthGauges::bump(&shared.planner.gauges().epochs);
                         Ok(epoch)
                     }
                     Ok(Err(detail)) => {
-                        ServeStats::bump(&shared.stats.ingest_failures);
+                        HealthGauges::bump(&shared.planner.gauges().ingest_failures);
                         Err(detail)
                     }
                     Err(payload) => {
-                        ServeStats::bump(&shared.stats.ingest_failures);
+                        HealthGauges::bump(&shared.planner.gauges().ingest_failures);
                         let msg = payload
                             .downcast_ref::<&str>()
                             .map(|s| s.to_string())
@@ -742,13 +695,13 @@ fn serve_conn(shared: &Shared, conn: Conn, out: &mut String, ctx: &ResidentCtx) 
                         .answer_line_under_pressure(&line, out, pressure);
                 }
                 if out.starts_with("err busy ") {
-                    ServeStats::bump(&shared.stats.shed_requests);
+                    HealthGauges::bump(&shared.planner.gauges().shed_requests);
                 }
                 // Failpoint: a stalled or failed response write.
                 sibling_failpoint::io_point("service::write")
                     .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))?;
                 reader.get_mut().write_all(out.as_bytes())?;
-                ServeStats::bump(&shared.stats.served);
+                HealthGauges::bump(&shared.planner.gauges().served);
                 line.clear();
                 last_done = Instant::now();
                 // Drain: the in-flight request just finished; close
@@ -772,11 +725,11 @@ fn serve_conn(shared: &Shared, conn: Conn, out: &mut String, ctx: &ResidentCtx) 
                 if !line.is_empty() && waited >= shared.request_deadline {
                     // Slow-loris: the request line is dribbling in
                     // slower than the deadline.
-                    ServeStats::bump(&shared.stats.timeouts);
+                    HealthGauges::bump(&shared.planner.gauges().timeouts);
                     return close_timed_out(reader.get_mut(), "request", shared.request_deadline);
                 }
                 if line.is_empty() && waited >= shared.idle_timeout {
-                    ServeStats::bump(&shared.stats.timeouts);
+                    HealthGauges::bump(&shared.planner.gauges().timeouts);
                     return close_timed_out(
                         reader.get_mut(),
                         "idle connection",

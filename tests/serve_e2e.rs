@@ -9,7 +9,7 @@ use std::sync::Arc;
 use sibling_core::{DetectEngine, SiblingPair, SiblingSet, WindowQueryIndex};
 use sibling_executor::ThreadPool;
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix, MonthDate};
-use sibling_service::{Client, Endpoint, QueryPlanner, Response, Server};
+use sibling_service::{Client, Endpoint, QueryPlanner, Response, ServeOptions, Server};
 use sibling_worldgen::{World, WorldConfig};
 
 /// Scores a small multi-month window — the daemon's startup work and,
@@ -91,7 +91,12 @@ fn served_answers_are_bit_identical_to_batch_recompute() {
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
     let endpoint = server.endpoint().to_string();
     let handle = server
-        .start(planner, ThreadPool::with_threads(1), 2)
+        .start_with(
+            planner,
+            ThreadPool::with_threads(1),
+            2,
+            ServeOptions::default(),
+        )
         .expect("server starts");
 
     // The reference side: a *fresh* engine recomputes the same window,
@@ -195,7 +200,12 @@ fn malformed_lines_keep_the_connection_alive() {
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
     let endpoint = server.endpoint().to_string();
     let handle = server
-        .start(planner, ThreadPool::with_threads(1), 1)
+        .start_with(
+            planner,
+            ThreadPool::with_threads(1),
+            1,
+            ServeOptions::default(),
+        )
         .expect("server starts");
 
     let mut client = Client::connect(&endpoint).expect("connect");
@@ -260,7 +270,7 @@ fn malformed_lines_keep_the_connection_alive() {
 fn live_daemon_ingest_epoch_and_health_over_the_wire() {
     use sibling_core::{EngineConfig, EpochState};
     use sibling_dns::SnapshotDelta;
-    use sibling_service::{LiveWindow, Request, ServeOptions};
+    use sibling_service::{LiveWindow, Request};
 
     let world = World::generate(WorldConfig::test_tiny(37));
     let to = world.config.end;
@@ -351,9 +361,7 @@ fn live_daemon_ingest_epoch_and_health_over_the_wire() {
 fn follower_tails_the_primary_and_serves_identical_answers() {
     use sibling_core::{EngineConfig, EpochState};
     use sibling_dns::SnapshotDelta;
-    use sibling_service::{
-        follow, DeltaFeed, FollowerOptions, HealthGauges, LiveWindow, Request, ServeOptions,
-    };
+    use sibling_service::{follow, DeltaFeed, FollowerOptions, HealthGauges, LiveWindow, Request};
     use std::time::{Duration, Instant};
 
     let world = World::generate(WorldConfig::test_tiny(41));
